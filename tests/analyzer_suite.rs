@@ -133,3 +133,43 @@ proptest! {
         );
     }
 }
+
+/// The step budget: the rank that exhausts it files exactly one A007 at
+/// the statement it stopped on, and its partial collective trace stays
+/// out of the cross-rank comparison (rank 0 never reached the barrier —
+/// comparing it would report a deadlock that is not there).
+#[test]
+fn budget_exhaustion_is_one_a007_and_excludes_the_rank_from_a005() {
+    let source = "program m\n\
+                  integer :: k\n\
+                  if (mynum == 0) then\n\
+                  k = 1\n\
+                  k = 2\n\
+                  k = 3\n\
+                  end if\n\
+                  call mpi_barrier()\n\
+                  end program\n";
+    let program = fir::parse_validated(source).unwrap();
+    let mut cfg = CommCheckConfig::new(4);
+    cfg.budget = 3; // ranks 1..3 take two steps; rank 0 needs five
+    let report = verify_comm(&program, &cfg);
+    assert_eq!(report.ranks_checked, vec![0, 1, 2, 3]);
+    assert_eq!(
+        report.diagnostics.len(),
+        1,
+        "{}",
+        report.render_human(source)
+    );
+    let d = &report.diagnostics[0];
+    assert_eq!(d.code.as_str(), "A007");
+    assert_eq!(d.ranks, vec![0]);
+    assert_eq!(d.span.snippet(source), "k = 3");
+    assert_eq!(
+        d.message,
+        "analysis budget (3 abstract steps) exhausted on rank 0"
+    );
+
+    // One step more and rank 0 completes: nothing to report.
+    cfg.budget = 5;
+    assert!(verify_comm(&program, &cfg).is_clean());
+}
