@@ -1,8 +1,9 @@
 //! Communication-safety verification: a rank-parametric abstract
 //! interpretation over the AST.
 //!
-//! For each concrete rank (`mynum = 0, 1, …`) the pass walks the main
-//! program with an abstract scalar environment of integer intervals
+//! Names are resolved once per verification ([`crate::resolve`]); then,
+//! for each concrete rank (`mynum = 0, 1, …`), the pass walks the resolved
+//! main program with an abstract scalar environment of integer intervals
 //! ([`crate::interval::Val`]) and tracks the multiset of *in-flight*
 //! regions posted by `mpi_isend`/`mpi_irecv`. The walk is concrete where
 //! it must be and summarized where it can be:
@@ -30,11 +31,12 @@
 
 use crate::diag::{AnalysisReport, Code, Diagnostic};
 use crate::interval::Val;
-use fir::ast::*;
-use fir::intrinsics::{is_mpi_builtin, is_predefined_scalar};
+use crate::resolve::{
+    resolve, Arg, ArrayId, Callee, Intrinsic, Kind, Node, Resolved, SecDim, Slot, Stmt,
+};
+use fir::ast::{BinOp, Program};
 use fir::span::Span;
-use fir::symbol::implicit_type;
-use std::collections::HashMap;
+use std::borrow::Cow;
 
 /// Configuration for one verification run.
 #[derive(Debug, Clone)]
@@ -81,7 +83,14 @@ impl CommCheckConfig {
 /// Verify the communication safety of `program` and return the report.
 /// The program must already be valid ([`fir::validate`]).
 pub fn verify_comm(program: &Program, cfg: &CommCheckConfig) -> AnalysisReport {
-    let mut a = Analyzer::new(program, cfg);
+    let resolved = resolve(program, cfg);
+    let mut a = Analyzer {
+        r: &resolved,
+        cfg,
+        diags: Vec::new(),
+        current_rank: 0,
+        fixed_extents: Vec::new(),
+    };
     let ranks = cfg.ranks();
     let mut traces: Vec<(i64, Vec<CollectiveEvent>)> = Vec::new();
     for &rank in &ranks {
@@ -108,7 +117,7 @@ enum CommKind {
 /// An abstract array region: one interval per dimension.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Region {
-    array: String,
+    array: ArrayId,
     dims: Vec<Val>,
 }
 
@@ -135,7 +144,7 @@ struct Pending {
 /// One collective executed by a rank, for cross-rank comparison.
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct CollectiveEvent {
-    name: String,
+    name: &'static str,
     /// Per-rank element count; `None` when no count argument applies
     /// (barrier).
     count: Option<i64>,
@@ -144,7 +153,8 @@ struct CollectiveEvent {
 
 #[derive(Debug, Clone)]
 struct RankState {
-    env: HashMap<String, Val>,
+    /// Scalar slot -> abstract value; `None` is never-written.
+    env: Vec<Option<Val>>,
     pending: Vec<Pending>,
     collectives: Vec<CollectiveEvent>,
     steps: u64,
@@ -153,36 +163,17 @@ struct RankState {
 /// The walk aborted (unverifiable / budget); an A007 was already filed.
 struct Abort;
 
-struct Analyzer<'p> {
-    program: &'p Program,
-    cfg: &'p CommCheckConfig,
-    /// Procedure name -> does it (transitively) perform communication?
-    proc_comm: HashMap<&'p str, bool>,
-    /// Scalar name -> declared-or-implicit type, main scope.
-    scalar_types: HashMap<String, ScalarType>,
+struct Analyzer<'r> {
+    r: &'r Resolved<'r>,
+    cfg: &'r CommCheckConfig,
     diags: Vec<Diagnostic>,
     current_rank: i64,
+    /// Per array, for the current rank: its declared extents when they
+    /// cannot change during the walk ([`crate::resolve::ArrayInfo`]).
+    fixed_extents: Vec<Option<Vec<Val>>>,
 }
 
-impl<'p> Analyzer<'p> {
-    fn new(program: &'p Program, cfg: &'p CommCheckConfig) -> Self {
-        let proc_comm = compute_proc_comm(program);
-        let mut scalar_types = HashMap::new();
-        for d in &program.main.decls {
-            if !d.is_array() {
-                scalar_types.insert(d.name.clone(), d.ty);
-            }
-        }
-        Analyzer {
-            program,
-            cfg,
-            proc_comm,
-            scalar_types,
-            diags: Vec::new(),
-            current_rank: 0,
-        }
-    }
-
+impl<'r> Analyzer<'r> {
     fn diag(&mut self, code: Code, span: Span, message: String) {
         self.diags.push(Diagnostic {
             code,
@@ -192,25 +183,30 @@ impl<'p> Analyzer<'p> {
         });
     }
 
+    fn array_name(&self, array: ArrayId) -> &'r str {
+        self.r.arrays[array].name
+    }
+
     /// Walk one rank to completion; `None` when the walk aborted (its
     /// collective trace would be partial and must not be compared).
     fn walk_rank(&mut self, rank: i64) -> Option<Vec<CollectiveEvent>> {
         self.current_rank = rank;
         let mut st = RankState {
-            env: HashMap::new(),
+            env: vec![None; self.r.slots.len()],
             pending: Vec::new(),
             collectives: Vec::new(),
             steps: 0,
         };
-        st.env.insert("mynum".into(), Val::constant(rank));
-        st.env.insert("np".into(), Val::constant(self.cfg.np));
-        for (name, v) in &self.cfg.symbols {
-            st.env
-                .entry(name.clone())
-                .or_insert_with(|| Val::constant(*v));
+        st.env[self.r.mynum] = Some(Val::constant(rank));
+        st.env[self.r.np] = Some(Val::constant(self.cfg.np));
+        for &(slot, v) in &self.r.symbols {
+            st.env[slot].get_or_insert(Val::constant(v));
         }
-        let body = &self.program.main.body;
-        let completed = self.walk_stmts(body, &mut st, false).is_ok();
+        self.fixed_extents = (0..self.r.arrays.len())
+            .map(|a| self.r.arrays[a].fixed_extent.then(|| self.eval_extents(a, &st)))
+            .collect();
+        let r = self.r;
+        let completed = self.walk_stmts(&r.body, &mut st, false).is_ok();
         if completed {
             for p in &st.pending {
                 let (code, what) = match p.kind {
@@ -222,7 +218,7 @@ impl<'p> Analyzer<'p> {
                     message: format!(
                         "{what} on `{}` is still in flight when the program ends; \
                          no wait matches it on this path",
-                        p.region.array
+                        self.array_name(p.region.array)
                     ),
                     span: p.span,
                     ranks: vec![rank],
@@ -300,7 +296,7 @@ impl<'p> Analyzer<'p> {
         if st.steps > self.cfg.budget {
             self.diag(
                 Code::A007,
-                stmt_span(s),
+                s.span(),
                 format!(
                     "analysis budget ({} abstract steps) exhausted on rank {}",
                     self.cfg.budget, self.current_rank
@@ -309,30 +305,38 @@ impl<'p> Analyzer<'p> {
             return Err(Abort);
         }
         match s {
-            Stmt::Assign { target, value, span } => {
+            Stmt::AssignScalar { slot, value, .. } => {
                 self.check_expr_reads(value, st);
-                for ix in &target.indices {
+                // Track integers, widen reals.
+                let v = if self.r.slots[*slot].integer {
+                    self.eval(value, st)
+                } else {
+                    Val::Top
+                };
+                st.env[*slot] = Some(v);
+            }
+            Stmt::AssignArray {
+                array,
+                indices,
+                value,
+                span,
+            } => {
+                self.check_expr_reads(value, st);
+                for ix in indices {
                     self.check_expr_reads(ix, st);
                 }
-                if target.indices.is_empty() && !self.is_array(&target.name) {
-                    // Scalar assignment: track integers, widen reals.
-                    let v = if self.scalar_is_integer(&target.name) {
-                        self.eval(value, st)
-                    } else {
-                        Val::Top
-                    };
-                    st.env.insert(target.name.clone(), v);
-                } else {
-                    let region = self.region_of_access(&target.name, &target.indices, st);
-                    self.check_write(&region, *span, st);
-                }
+                let region = self.region_of_access(*array, indices, st);
+                self.check_write(&region, *span, st);
             }
             Stmt::Do {
                 var,
+                name,
                 lower,
                 upper,
                 step,
                 body,
+                communicates,
+                assigned,
                 span,
             } => {
                 self.check_expr_reads(lower, st);
@@ -340,14 +344,14 @@ impl<'p> Analyzer<'p> {
                 if let Some(e) = step {
                     self.check_expr_reads(e, st);
                 }
-                if self.stmts_communicate(body) {
-                    self.walk_comm_loop(var, lower, upper, step.as_ref(), body, *span, st)?;
+                if *communicates {
+                    self.walk_comm_loop(*var, name, lower, upper, step.as_deref(), body, *span, st)?;
                 } else {
-                    self.walk_compute_loop(var, lower, upper, body, st)?;
+                    self.walk_compute_loop(*var, lower, upper, assigned, body, st)?;
                 }
                 // After the loop the variable holds the first value past
                 // the bound — outside the iteration hull, so widen.
-                st.env.insert(var.clone(), Val::Top);
+                st.env[*var] = Some(Val::Top);
             }
             Stmt::If {
                 cond,
@@ -362,8 +366,13 @@ impl<'p> Analyzer<'p> {
                     None => self.walk_unknown_branch(then_body, else_body, *span, st, sum)?,
                 }
             }
-            Stmt::Call { name, args, span } => {
-                self.walk_call(name, args, *span, st)?;
+            Stmt::Call {
+                name,
+                callee,
+                args,
+                span,
+            } => {
+                self.walk_call(name, *callee, args, *span, st)?;
             }
         }
         Ok(())
@@ -375,10 +384,11 @@ impl<'p> Analyzer<'p> {
     #[allow(clippy::too_many_arguments)] // mirrors the Do statement's fields
     fn walk_comm_loop(
         &mut self,
-        var: &str,
-        lower: &Expr,
-        upper: &Expr,
-        step: Option<&Expr>,
+        var: Slot,
+        name: &str,
+        lower: &Node,
+        upper: &Node,
+        step: Option<&Node>,
         body: &[Stmt],
         span: Span,
         st: &mut RankState,
@@ -394,7 +404,7 @@ impl<'p> Analyzer<'p> {
                 Code::A007,
                 span,
                 format!(
-                    "loop over `{var}` communicates but its bounds are not statically \
+                    "loop over `{name}` communicates but its bounds are not statically \
                      known on rank {} — communication structure is unverifiable",
                     self.current_rank
                 ),
@@ -405,13 +415,13 @@ impl<'p> Analyzer<'p> {
             self.diag(
                 Code::A007,
                 span,
-                format!("loop over `{var}` has step 0 — cannot enumerate its iterations"),
+                format!("loop over `{name}` has step 0 — cannot enumerate its iterations"),
             );
             return Err(Abort);
         }
         let mut x = lo;
         while (stp > 0 && x <= hi) || (stp < 0 && x >= hi) {
-            st.env.insert(var.to_string(), Val::constant(x));
+            st.env[var] = Some(Val::constant(x));
             self.walk_stmts(body, st, false)?;
             x = match x.checked_add(stp) {
                 Some(x) => x,
@@ -426,22 +436,19 @@ impl<'p> Analyzer<'p> {
     /// recorded accesses cover all iterations.
     fn walk_compute_loop(
         &mut self,
-        var: &str,
-        lower: &Expr,
-        upper: &Expr,
+        var: Slot,
+        lower: &Node,
+        upper: &Node,
+        assigned: &[Slot],
         body: &[Stmt],
         st: &mut RankState,
     ) -> Result<(), Abort> {
         let lo = self.eval(lower, st);
         let hi = self.eval(upper, st);
-        let mut assigned = Vec::new();
-        collect_assigned_scalars(body, &mut assigned);
-        for name in assigned {
-            if !self.is_array(&name) {
-                st.env.insert(name, Val::Top);
-            }
+        for &slot in assigned {
+            st.env[slot] = Some(Val::Top);
         }
-        st.env.insert(var.to_string(), lo.join(hi));
+        st.env[var] = Some(lo.join(hi));
         self.walk_stmts(body, st, true)
     }
 
@@ -471,8 +478,8 @@ impl<'p> Analyzer<'p> {
             );
         }
 
-        let then_keys = pending_keys(&st.pending);
-        let else_keys = pending_keys(&st_else.pending);
+        let then_keys = self.pending_keys(&st.pending);
+        let else_keys = self.pending_keys(&st_else.pending);
         if then_keys != else_keys {
             self.diag(
                 Code::A006,
@@ -480,8 +487,8 @@ impl<'p> Analyzer<'p> {
                 format!(
                     "the arms of this branch leave different operations in flight \
                      ({} vs {}) — a wait is missing on one path",
-                    describe_pending(&st.pending),
-                    describe_pending(&st_else.pending)
+                    self.describe_pending(&st.pending),
+                    self.describe_pending(&st_else.pending)
                 ),
             );
             // Continue with the union so later hazards are still caught.
@@ -496,17 +503,14 @@ impl<'p> Analyzer<'p> {
             }
         }
 
-        // Join the environments pointwise.
-        let mut joined = HashMap::new();
-        for name in st.env.keys().chain(st_else.env.keys()) {
-            if joined.contains_key(name) {
-                continue;
+        // Join the environments pointwise, over the scalars either arm
+        // has a value for.
+        for (slot, (a, b)) in st.env.iter_mut().zip(&st_else.env).enumerate() {
+            if a.is_some() || b.is_some() {
+                let unwritten = self.r.slots[slot].default;
+                *a = Some(a.unwrap_or(unwritten).join(b.unwrap_or(unwritten)));
             }
-            let a = self.value_of(name, &st.env);
-            let b = self.value_of(name, &st_else.env);
-            joined.insert(name.clone(), a.join(b));
         }
-        st.env = joined;
         st.steps = st.steps.max(st_else.steps);
         Ok(())
     }
@@ -516,57 +520,60 @@ impl<'p> Analyzer<'p> {
     fn walk_call(
         &mut self,
         name: &str,
+        callee: Callee,
         args: &[Arg],
         span: Span,
         st: &mut RankState,
     ) -> Result<(), Abort> {
         for a in args {
-            if let Arg::Expr(e) = a {
-                self.check_expr_reads(e, st);
+            if let Arg::Expr { node, .. } = a {
+                self.check_expr_reads(node, st);
             }
         }
-        if is_mpi_builtin(name) || name == "print" {
-            return self.walk_builtin(name, args, span, st);
-        }
-        let Some(proc) = self.program.procedure(name) else {
-            self.diag(
-                Code::A007,
-                span,
-                format!("call to unknown procedure `{name}` cannot be analyzed"),
-            );
-            return Err(Abort);
-        };
-        if self.proc_comm.get(proc.name.as_str()).copied().unwrap_or(false) {
-            self.diag(
-                Code::A007,
-                span,
-                format!(
-                    "`{name}` performs communication; interprocedural communication \
-                     is not verified — inline the calls or wait before them"
-                ),
-            );
-            return Err(Abort);
-        }
-        // A communication-free callee can read and write exactly the array
-        // windows it was passed (scalars go by value).
-        for a in args {
-            if let Some(region) = self.region_of_arg(a, st) {
-                self.check_write(&region, span, st);
-                self.check_read(&region, span, st);
+        match callee {
+            Callee::Unknown => {
+                self.diag(
+                    Code::A007,
+                    span,
+                    format!("call to unknown procedure `{name}` cannot be analyzed"),
+                );
+                Err(Abort)
             }
+            Callee::Communicating => {
+                self.diag(
+                    Code::A007,
+                    span,
+                    format!(
+                        "`{name}` performs communication; interprocedural communication \
+                         is not verified — inline the calls or wait before them"
+                    ),
+                );
+                Err(Abort)
+            }
+            // A communication-free callee can read and write exactly the
+            // array windows it was passed (scalars go by value).
+            Callee::Pure => {
+                for a in args {
+                    if let Some(region) = self.region_of_arg(a, st) {
+                        self.check_write(&region, span, st);
+                        self.check_read(&region, span, st);
+                    }
+                }
+                Ok(())
+            }
+            builtin => self.walk_builtin(builtin, args, span, st),
         }
-        Ok(())
     }
 
     fn walk_builtin(
         &mut self,
-        name: &str,
+        builtin: Callee,
         args: &[Arg],
         span: Span,
         st: &mut RankState,
     ) -> Result<(), Abort> {
-        match name {
-            "mpi_isend" => {
+        match builtin {
+            Callee::Isend => {
                 if let Some(region) = args.first().and_then(|a| self.region_of_arg(a, st)) {
                     // Sending reads the buffer: in-flight receives into it
                     // are a hazard; concurrent sends of the same region
@@ -579,7 +586,7 @@ impl<'p> Analyzer<'p> {
                     });
                 }
             }
-            "mpi_irecv" => {
+            Callee::Irecv => {
                 if let Some(region) = args.first().and_then(|a| self.region_of_arg(a, st)) {
                     self.check_write(&region, span, st);
                     st.pending.push(Pending {
@@ -589,20 +596,20 @@ impl<'p> Analyzer<'p> {
                     });
                 }
             }
-            "mpi_waitall_recv" => {
+            Callee::WaitallRecv => {
                 st.pending.retain(|p| p.kind != CommKind::Recv);
             }
-            "mpi_waitall" => {
+            Callee::Waitall => {
                 st.pending.clear();
             }
-            "mpi_barrier" => {
+            Callee::Barrier => {
                 st.collectives.push(CollectiveEvent {
-                    name: name.to_string(),
+                    name: "mpi_barrier",
                     count: None,
                     span,
                 });
             }
-            "mpi_alltoall" => {
+            Callee::Alltoall => {
                 if let Some(region) = args.first().and_then(|a| self.region_of_arg(a, st)) {
                     self.check_read(&region, span, st);
                 }
@@ -610,8 +617,8 @@ impl<'p> Analyzer<'p> {
                     self.check_write(&region, span, st);
                 }
                 let count = match args.get(1) {
-                    Some(Arg::Expr(e)) => {
-                        let v = self.eval(e, st).singleton();
+                    Some(Arg::Expr { node, .. }) => {
+                        let v = self.eval(node, st).singleton();
                         if v.is_none() {
                             self.diag(
                                 Code::A007,
@@ -627,7 +634,7 @@ impl<'p> Analyzer<'p> {
                     _ => None,
                 };
                 st.collectives.push(CollectiveEvent {
-                    name: name.to_string(),
+                    name: "mpi_alltoall",
                     count,
                     span,
                 });
@@ -641,29 +648,29 @@ impl<'p> Analyzer<'p> {
 
     // -- hazard checks ----------------------------------------------------
 
-    fn check_expr_reads(&mut self, e: &Expr, st: &mut RankState) {
-        match e {
-            Expr::IntLit(..) | Expr::RealLit(..) | Expr::Var(..) => {}
-            Expr::ArrayRef {
-                name,
+    fn check_expr_reads(&mut self, e: &Node, st: &RankState) {
+        match &e.kind {
+            Kind::Int(_) | Kind::Real | Kind::Var(_) => {}
+            Kind::ArrayRef {
+                array,
                 indices,
                 span,
             } => {
                 for ix in indices {
                     self.check_expr_reads(ix, st);
                 }
-                if self.is_array(name) {
-                    let region = self.region_of_access(name, indices, st);
+                if let Some(array) = array {
+                    let region = self.region_of_access(*array, indices, st);
                     self.check_read(&region, *span, st);
                 }
             }
-            Expr::Call { args, .. } => {
+            Kind::Call { args, .. } => {
                 for a in args {
                     self.check_expr_reads(a, st);
                 }
             }
-            Expr::Unary { operand, .. } => self.check_expr_reads(operand, st),
-            Expr::Binary { lhs, rhs, .. } => {
+            Kind::Neg(operand) | Kind::Not(operand) => self.check_expr_reads(operand, st),
+            Kind::Binary { lhs, rhs, .. } => {
                 self.check_expr_reads(lhs, st);
                 self.check_expr_reads(rhs, st);
             }
@@ -671,113 +678,90 @@ impl<'p> Analyzer<'p> {
     }
 
     fn check_read(&mut self, region: &Region, span: Span, st: &RankState) {
-        let mut hits = Vec::new();
         for p in &st.pending {
             if p.kind == CommKind::Recv && region.overlaps(&p.region) {
-                hits.push(format!(
+                let m = format!(
                     "`{}` is read while an mpi_irecv into it is in flight; its \
                      contents are undefined until `call mpi_waitall_recv()`",
-                    region.array
-                ));
+                    self.array_name(region.array)
+                );
+                self.diag(Code::A004, span, m);
             }
-        }
-        for m in hits {
-            self.diag(Code::A004, span, m);
         }
     }
 
     fn check_write(&mut self, region: &Region, span: Span, st: &RankState) {
-        let mut hits = Vec::new();
         for p in &st.pending {
             if region.overlaps(&p.region) {
-                match p.kind {
-                    CommKind::Send => hits.push((
+                let array = self.array_name(region.array);
+                let (code, m) = match p.kind {
+                    CommKind::Send => (
                         Code::A003,
                         format!(
-                            "`{}` is written while an mpi_isend of it is in flight; \
-                             the network may transmit the clobbered data",
-                            region.array
+                            "`{array}` is written while an mpi_isend of it is in flight; \
+                             the network may transmit the clobbered data"
                         ),
-                    )),
-                    CommKind::Recv => hits.push((
+                    ),
+                    CommKind::Recv => (
                         Code::A004,
                         format!(
-                            "`{}` is written while an mpi_irecv into it is in flight; \
-                             the arriving message would overwrite this store",
-                            region.array
+                            "`{array}` is written while an mpi_irecv into it is in flight; \
+                             the arriving message would overwrite this store"
                         ),
-                    )),
-                }
+                    ),
+                };
+                self.diag(code, span, m);
             }
-        }
-        for (code, m) in hits {
-            self.diag(code, span, m);
         }
     }
 
     // -- regions ----------------------------------------------------------
 
-    /// Region of `name(indices…)`; `name()` (no indices) or a bare array
-    /// name covers the whole declared extent.
-    fn region_of_access(&mut self, name: &str, indices: &[Expr], st: &RankState) -> Region {
-        let decl_dims = self.decl_dims(name, st);
+    /// Region of `array(indices…)`; `array()` (no indices) or a bare
+    /// array name covers the whole declared extent.
+    fn region_of_access(&self, array: ArrayId, indices: &[Node], st: &RankState) -> Region {
+        let extents = self.extents(array, st);
         let dims = if indices.is_empty() {
-            decl_dims
+            extents.into_owned()
         } else {
             indices
                 .iter()
                 .enumerate()
-                .map(|(i, e)| {
-                    let v = self.eval(e, st);
-                    match v {
-                        Val::Top => decl_dims.get(i).copied().unwrap_or(Val::Top),
-                        v => v,
-                    }
+                .map(|(i, e)| match self.eval(e, st) {
+                    Val::Top => extents.get(i).copied().unwrap_or(Val::Top),
+                    v => v,
                 })
                 .collect()
         };
-        Region {
-            array: name.to_string(),
-            dims,
-        }
+        Region { array, dims }
     }
 
     /// Region named by a call argument, when it names an array window.
-    fn region_of_arg(&mut self, arg: &Arg, st: &RankState) -> Option<Region> {
+    fn region_of_arg(&self, arg: &Arg, st: &RankState) -> Option<Region> {
         match arg {
-            Arg::Expr(Expr::Var(name, _)) if self.is_array(name) => {
-                Some(Region {
-                    array: name.clone(),
-                    dims: self.decl_dims(name, st),
-                })
-            }
-            Arg::Expr(Expr::ArrayRef {
-                name,
-                indices,
-                ..
-            }) if self.is_array(name) => Some(self.region_of_access(name, indices, st)),
-            Arg::Section(sec) => {
-                let decl_dims = self.decl_dims(&sec.name, st);
-                let dims = sec
-                    .dims
+            Arg::Expr { window: None, .. } => None,
+            Arg::Expr {
+                node,
+                window: Some(array),
+            } => Some(match &node.kind {
+                Kind::ArrayRef { indices, .. } => self.region_of_access(*array, indices, st),
+                _ => self.region_of_access(*array, &[], st),
+            }),
+            Arg::Section { array, dims } => {
+                let extents = self.extents(*array, st);
+                let dims = dims
                     .iter()
                     .enumerate()
                     .map(|(i, d)| {
-                        let full = decl_dims.get(i).copied().unwrap_or(Val::Top);
+                        let full = extents.get(i).copied().unwrap_or(Val::Top);
                         match d {
                             SecDim::Index(e) => match self.eval(e, st) {
                                 Val::Top => full,
                                 v => v,
                             },
                             SecDim::Range(lo, hi) => {
-                                let lo_v = match lo {
-                                    Some(e) => self.eval(e, st),
-                                    None => full,
-                                };
-                                let hi_v = match hi {
-                                    Some(e) => self.eval(e, st),
-                                    None => full,
-                                };
+                                let lo_v = lo.as_ref().map_or(full, |e| self.eval(e, st));
+                                let hi_v = hi.as_ref().map_or(full, |e| self.eval(e, st));
                                 match (lo_v.bounds(), hi_v.bounds()) {
                                     (Some((a, _)), Some((_, d))) => Val::Range(a.min(d), d.max(a)),
                                     _ => full,
@@ -787,24 +771,29 @@ impl<'p> Analyzer<'p> {
                     })
                     .collect();
                 Some(Region {
-                    array: sec.name.clone(),
+                    array: *array,
                     dims,
                 })
             }
-            Arg::Expr(_) => None,
         }
     }
 
-    /// Declared per-dimension extents of `name`, evaluated abstractly.
-    fn decl_dims(&mut self, name: &str, st: &RankState) -> Vec<Val> {
-        let Some(decl) = self.program.main.decl(name) else {
-            return Vec::new();
-        };
-        decl.dims
+    /// Declared per-dimension extents of `array`: the rank's up-front
+    /// value when they cannot change, else evaluated under `st`.
+    fn extents(&self, array: ArrayId, st: &RankState) -> Cow<'_, [Val]> {
+        match &self.fixed_extents[array] {
+            Some(fixed) => Cow::Borrowed(fixed),
+            None => Cow::Owned(self.eval_extents(array, st)),
+        }
+    }
+
+    fn eval_extents(&self, array: ArrayId, st: &RankState) -> Vec<Val> {
+        self.r.arrays[array]
+            .dims
             .iter()
-            .map(|b| {
-                let lo = self.eval(&b.lower, st);
-                let hi = self.eval(&b.upper, st);
+            .map(|(lower, upper)| {
+                let lo = self.eval(lower, st);
+                let hi = self.eval(upper, st);
                 match (lo.bounds(), hi.bounds()) {
                     (Some((a, _)), Some((_, d))) => Val::Range(a.min(d), d.max(a)),
                     _ => Val::Top,
@@ -815,64 +804,42 @@ impl<'p> Analyzer<'p> {
 
     // -- abstract evaluation ----------------------------------------------
 
-    fn value_of(&self, name: &str, env: &HashMap<String, Val>) -> Val {
-        if let Some(v) = env.get(name) {
-            return *v;
-        }
-        // Never-written scalars read as typed zero (DESIGN.md's
-        // deterministic-zero convention) — exact for integers.
-        if self.scalar_is_integer(name) && !self.is_array(name) {
-            Val::constant(0)
-        } else {
-            Val::Top
-        }
+    fn value_of(&self, slot: Slot, env: &[Option<Val>]) -> Val {
+        env[slot].unwrap_or(self.r.slots[slot].default)
     }
 
-    fn eval(&self, e: &Expr, st: &RankState) -> Val {
-        // Affine subscripts go through depan's evaluator first — the
+    fn eval(&self, e: &Node, st: &RankState) -> Val {
+        // Affine subscripts go through depan's form first — the
         // dependence facts the transformation itself relied on.
-        if let Some(aff) = depan::affine::from_expr(e) {
-            if let Some(v) = aff.eval(&|name| st.env.get(name).and_then(|v| v.singleton())) {
-                return Val::constant(v);
-            }
+        if let Some(v) = e.affine.as_ref().and_then(|aff| aff.eval(&st.env)) {
+            return Val::constant(v);
         }
-        self.eval_rec(e, st)
-    }
-
-    fn eval_rec(&self, e: &Expr, st: &RankState) -> Val {
-        match e {
-            Expr::IntLit(v, _) => Val::constant(*v),
-            Expr::RealLit(..) => Val::Top,
-            Expr::Var(name, _) => self.value_of(name, &st.env),
-            Expr::ArrayRef { .. } => Val::Top,
-            Expr::Call { name, args, .. } => {
-                let vals: Vec<Val> = args.iter().map(|a| self.eval(a, st)).collect();
-                match (name.as_str(), vals.as_slice()) {
-                    ("mod", [a, m]) => a.modulo(*m),
-                    ("min", [first, rest @ ..]) => {
-                        rest.iter().fold(*first, |acc, v| acc.min(*v))
-                    }
-                    ("max", [first, rest @ ..]) => {
-                        rest.iter().fold(*first, |acc, v| acc.max(*v))
-                    }
-                    ("abs", [a]) => a.abs(),
+        match &e.kind {
+            Kind::Int(v) => Val::constant(*v),
+            Kind::Real | Kind::ArrayRef { .. } => Val::Top,
+            Kind::Var(slot) => self.value_of(*slot, &st.env),
+            Kind::Call { f, args } => {
+                let arg = |i: usize| self.eval(&args[i], st);
+                match (f, args.len()) {
+                    (Intrinsic::Mod, 2) => arg(0).modulo(arg(1)),
+                    (Intrinsic::Min, 1..) => (1..args.len()).fold(arg(0), |acc, i| acc.min(arg(i))),
+                    (Intrinsic::Max, 1..) => (1..args.len()).fold(arg(0), |acc, i| acc.max(arg(i))),
+                    (Intrinsic::Abs, 1) => arg(0).abs(),
                     // int()/floor() of an already-integer value is exact;
                     // of a real it is Top (reals are not tracked).
-                    ("int" | "floor", [a]) => match a.singleton() {
-                        Some(v) if self.expr_is_integer(&args[0]) => Val::constant(v),
+                    (Intrinsic::Trunc, 1) => match arg(0).singleton() {
+                        Some(v) if args[0].is_int => Val::constant(v),
                         _ => Val::Top,
                     },
                     _ => Val::Top,
                 }
             }
-            Expr::Unary { op, operand, .. } => match op {
-                UnOp::Neg => self.eval(operand, st).neg(),
-                UnOp::Not => match self.truth(operand, st) {
-                    Some(t) => Val::constant(i64::from(!t)),
-                    None => Val::Range(0, 1),
-                },
+            Kind::Neg(operand) => self.eval(operand, st).neg(),
+            Kind::Not(operand) => match self.truth(operand, st) {
+                Some(t) => Val::constant(i64::from(!t)),
+                None => Val::Range(0, 1),
             },
-            Expr::Binary { op, lhs, rhs, .. } => {
+            Kind::Binary { op, lhs, rhs } => {
                 use BinOp::*;
                 match op {
                     And | Or => {
@@ -899,7 +866,7 @@ impl<'p> Analyzer<'p> {
                     Eq | Ne | Lt | Le | Gt | Ge => {
                         // Interval comparison is only exact for integers;
                         // real operands evaluate to Top and decide nothing.
-                        if !self.expr_is_integer(lhs) || !self.expr_is_integer(rhs) {
+                        if !lhs.is_int || !rhs.is_int {
                             return Val::Range(0, 1);
                         }
                         let a = self.eval(lhs, st);
@@ -919,7 +886,7 @@ impl<'p> Analyzer<'p> {
                         }
                     }
                     Add | Sub | Mul | Div | Pow => {
-                        if !self.expr_is_integer(lhs) || !self.expr_is_integer(rhs) {
+                        if !lhs.is_int || !rhs.is_int {
                             return Val::Top;
                         }
                         let a = self.eval(lhs, st);
@@ -943,7 +910,7 @@ impl<'p> Analyzer<'p> {
         }
     }
 
-    fn truth(&self, e: &Expr, st: &RankState) -> Option<bool> {
+    fn truth(&self, e: &Node, st: &RankState) -> Option<bool> {
         match self.eval(e, st) {
             Val::Range(lo, hi) if lo == 0 && hi == 0 => Some(false),
             Val::Range(lo, hi) if lo > 0 || hi < 0 => Some(true),
@@ -951,182 +918,42 @@ impl<'p> Analyzer<'p> {
         }
     }
 
-    // -- classification ---------------------------------------------------
+    // -- rendering in-flight sets -------------------------------------------
 
-    fn is_array(&self, name: &str) -> bool {
-        self.program.main.decl(name).is_some_and(Decl::is_array)
+    /// Canonical sorted keys for multiset comparison of pending operations.
+    fn pending_keys(&self, pending: &[Pending]) -> Vec<String> {
+        let mut keys: Vec<String> = pending
+            .iter()
+            .map(|p| {
+                let array = self.array_name(p.region.array);
+                format!("{:?} {array} {:?}", p.kind, p.region.dims)
+            })
+            .collect();
+        keys.sort();
+        keys
     }
 
-    /// Statically integer-valued scalar (declared, implicit rule, or
-    /// predefined)?
-    fn scalar_is_integer(&self, name: &str) -> bool {
-        if is_predefined_scalar(name) {
-            return true;
+    fn describe_pending(&self, pending: &[Pending]) -> String {
+        if pending.is_empty() {
+            return "nothing".into();
         }
-        match self.scalar_types.get(name) {
-            Some(t) => *t == ScalarType::Integer,
-            None => implicit_type(name) == ScalarType::Integer,
-        }
+        let mut parts: Vec<String> = pending
+            .iter()
+            .map(|p| {
+                format!(
+                    "{} `{}`",
+                    match p.kind {
+                        CommKind::Send => "isend of",
+                        CommKind::Recv => "irecv into",
+                    },
+                    self.array_name(p.region.array)
+                )
+            })
+            .collect();
+        parts.sort();
+        parts.dedup();
+        parts.join(", ")
     }
-
-    /// Statically integer-valued expression (mirrors
-    /// `fir::validate::infer_type` conservatively: `false` when unsure).
-    fn expr_is_integer(&self, e: &Expr) -> bool {
-        match e {
-            Expr::IntLit(..) => true,
-            Expr::RealLit(..) => false,
-            Expr::Var(name, _) => self.scalar_is_integer(name),
-            Expr::ArrayRef { name, .. } => self
-                .program
-                .main
-                .decl(name)
-                .is_some_and(|d| d.ty == ScalarType::Integer),
-            Expr::Call { name, args, .. } => match name.as_str() {
-                "mod" | "floor" | "int" => true,
-                "abs" | "min" | "max" => args.iter().all(|a| self.expr_is_integer(a)),
-                _ => false,
-            },
-            Expr::Unary { op, operand, .. } => match op {
-                UnOp::Not => true,
-                UnOp::Neg => self.expr_is_integer(operand),
-            },
-            Expr::Binary { op, lhs, rhs, .. } => {
-                use BinOp::*;
-                match op {
-                    Eq | Ne | Lt | Le | Gt | Ge | And | Or => true,
-                    Add | Sub | Mul | Div | Pow => {
-                        self.expr_is_integer(lhs) && self.expr_is_integer(rhs)
-                    }
-                }
-            }
-        }
-    }
-
-    fn stmts_communicate(&self, stmts: &[Stmt]) -> bool {
-        stmts.iter().any(|s| self.stmt_communicates(s))
-    }
-
-    fn stmt_communicates(&self, s: &Stmt) -> bool {
-        match s {
-            Stmt::Assign { .. } => false,
-            Stmt::Do { body, .. } => self.stmts_communicate(body),
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => self.stmts_communicate(then_body) || self.stmts_communicate(else_body),
-            Stmt::Call { name, .. } => {
-                is_mpi_builtin(name)
-                    || self.proc_comm.get(name.as_str()).copied().unwrap_or(false)
-            }
-        }
-    }
-}
-
-/// Does each procedure (transitively) perform communication? Fixpoint
-/// over the call graph; unknown callees count as communicating (they
-/// abort the walk anyway).
-fn compute_proc_comm(program: &Program) -> HashMap<&str, bool> {
-    let mut comm: HashMap<&str, bool> = HashMap::new();
-    for p in program.all_procedures() {
-        comm.insert(p.name.as_str(), false);
-    }
-    loop {
-        let mut changed = false;
-        for p in program.all_procedures() {
-            if comm[p.name.as_str()] {
-                continue;
-            }
-            if body_communicates(&p.body, &comm) {
-                comm.insert(p.name.as_str(), true);
-                changed = true;
-            }
-        }
-        if !changed {
-            return comm;
-        }
-    }
-}
-
-fn body_communicates(stmts: &[Stmt], comm: &HashMap<&str, bool>) -> bool {
-    stmts.iter().any(|s| match s {
-        Stmt::Assign { .. } => false,
-        Stmt::Do { body, .. } => body_communicates(body, comm),
-        Stmt::If {
-            then_body,
-            else_body,
-            ..
-        } => body_communicates(then_body, comm) || body_communicates(else_body, comm),
-        Stmt::Call { name, .. } => {
-            is_mpi_builtin(name) || comm.get(name.as_str()).copied().unwrap_or(true)
-        }
-    })
-}
-
-/// Scalars assigned anywhere under `stmts` (callees cannot write caller
-/// scalars — they are passed by value).
-fn collect_assigned_scalars(stmts: &[Stmt], out: &mut Vec<String>) {
-    for s in stmts {
-        match s {
-            Stmt::Assign { target, .. } if target.indices.is_empty() => {
-                out.push(target.name.clone());
-            }
-            Stmt::Assign { .. } | Stmt::Call { .. } => {}
-            Stmt::Do { var, body, .. } => {
-                out.push(var.clone());
-                collect_assigned_scalars(body, out);
-            }
-            Stmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                collect_assigned_scalars(then_body, out);
-                collect_assigned_scalars(else_body, out);
-            }
-        }
-    }
-}
-
-fn stmt_span(s: &Stmt) -> Span {
-    match s {
-        Stmt::Assign { span, .. }
-        | Stmt::Do { span, .. }
-        | Stmt::If { span, .. }
-        | Stmt::Call { span, .. } => *span,
-    }
-}
-
-/// Canonical sorted keys for multiset comparison of pending operations.
-fn pending_keys(pending: &[Pending]) -> Vec<String> {
-    let mut keys: Vec<String> = pending
-        .iter()
-        .map(|p| format!("{:?} {} {:?}", p.kind, p.region.array, p.region.dims))
-        .collect();
-    keys.sort();
-    keys
-}
-
-fn describe_pending(pending: &[Pending]) -> String {
-    if pending.is_empty() {
-        return "nothing".into();
-    }
-    let mut parts: Vec<String> = pending
-        .iter()
-        .map(|p| {
-            format!(
-                "{} `{}`",
-                match p.kind {
-                    CommKind::Send => "isend of",
-                    CommKind::Recv => "irecv into",
-                },
-                p.region.array
-            )
-        })
-        .collect();
-    parts.sort();
-    parts.dedup();
-    parts.join(", ")
 }
 
 #[cfg(test)]

@@ -31,14 +31,16 @@
 //! while pure-compute loops are summarized in one interval-typed walk.
 //!
 //! The crate is wired in three places: the `harness analyze` subcommand
-//! (human + JSON diagnostics), the gate inside `core::transform` (an
+//! (human + JSON diagnostics), the gate half of `core::transform` (an
 //! emitted prepush program that fails verification is declined with
 //! `Status::AnalysisRejected` — it cannot ship), and the verify.sh step
-//! that analyzes the full registry × transform matrix.
+//! that analyzes the full registry × transform matrix. One verification
+//! resolves names once (`resolve`) and walks the resolved tree per rank.
 
 pub mod comm;
 pub mod diag;
 pub mod interval;
+mod resolve;
 pub mod types;
 
 pub use comm::{verify_comm, CommCheckConfig};

@@ -64,4 +64,4 @@ pub mod transform;
 pub use opportunity::{find_opportunities, Opportunity, UserOracle, UserQuery};
 pub use pattern::{classify, Pattern};
 pub use report::{OppOutcome, Status, Strategy, TransformReport};
-pub use transform::{transform, Options, TransformError, TransformOutput};
+pub use transform::{emit, gate, transform, Options, TransformError, TransformOutput};

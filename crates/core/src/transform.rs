@@ -88,8 +88,16 @@ impl std::fmt::Display for TransformError {
 
 impl std::error::Error for TransformError {}
 
-/// Run the Compuniformer on `program`.
+/// Run the Compuniformer on `program`: [`emit`], then [`gate`].
 pub fn transform(program: &Program, opts: &Options) -> Result<TransformOutput, TransformError> {
+    let emitted = emit(program, opts)?;
+    Ok(gate(program, emitted, &opts.context))
+}
+
+/// The emitting half of [`transform`]: validate, find the opportunities,
+/// plan and K-select each, apply the plans, report. The result has not
+/// been through the analyzer [`gate`] yet.
+pub fn emit(program: &Program, opts: &Options) -> Result<TransformOutput, TransformError> {
     fir::validate::validate(program).map_err(TransformError::Invalid)?;
 
     let mut out = program.clone();
@@ -153,60 +161,74 @@ pub fn transform(program: &Program, opts: &Options) -> Result<TransformOutput, T
             "generated program fails validation:\n{}",
             fir::unparse(&out)
         );
-        // Static communication-safety gate: an emitted program we cannot
-        // *prove* hazard-free does not ship. Withdraw the transformation
-        // and emit the original instead, carrying the diagnostics.
-        if let Some(diags) = analysis_gate(&out, opts) {
-            for o in &mut report.opportunities {
-                if o.status == Status::Applied {
-                    o.strategy = None;
-                    o.tile_size = None;
-                    o.status = Status::AnalysisRejected(diags.clone());
-                }
-            }
-            return Ok(TransformOutput {
-                program: program.clone(),
-                report,
-            });
+    } else if !declined_unprofitable {
+        return Err(TransformError::NothingApplied(report));
+    }
+    // When every feasible site was declined as unprofitable, `out` was
+    // never mutated: callers run the original program unchanged and the
+    // report carries the per-site notes.
+    Ok(TransformOutput {
+        program: out,
+        report,
+    })
+}
+
+/// The gating half of [`transform`] — the static communication-safety
+/// gate: an emitted program we cannot *prove* hazard-free does not ship.
+/// A rejected emission is withdrawn: `original` is emitted instead and
+/// every applied site carries the diagnostics.
+pub fn gate(original: &Program, emitted: TransformOutput, context: &Context) -> TransformOutput {
+    match gate_config(&emitted, context) {
+        Some(cfg) => {
+            let verdict = gate_verdict(&emitted.program, &cfg);
+            apply_verdict(original, emitted, &verdict)
         }
-        Ok(TransformOutput {
-            program: out,
-            report,
-        })
-    } else if declined_unprofitable {
-        // Every feasible site was declined as unprofitable: succeed with
-        // the *original* program (`out` was never mutated) so callers run
-        // it unchanged; the report carries the per-site notes.
-        Ok(TransformOutput {
-            program: out,
-            report,
-        })
-    } else {
-        Err(TransformError::NothingApplied(report))
+        None => emitted,
     }
 }
 
-/// Verify the emitted program with the static communication checker.
-/// Returns `None` when clean (or when `np` is unknown — the checker is
-/// rank-parametric and needs a concrete rank count to instantiate), or
-/// the rendered diagnostics when the program cannot be proved safe.
-fn analysis_gate(out: &Program, opts: &Options) -> Option<Vec<String>> {
-    let np = opts.context.get("np")?;
-    if np < 2 {
+/// Does the gate apply to this emission, and with what verifier inputs?
+/// `None` when nothing was applied (the emission *is* the original), or
+/// when `np` is unknown — the checker is rank-parametric and needs a
+/// concrete rank count to instantiate. Together with the emitted program
+/// the returned config is everything [`gate_verdict`] reads.
+pub fn gate_config(emitted: &TransformOutput, context: &Context) -> Option<analyzer::CommCheckConfig> {
+    if emitted.report.applied_count() == 0 {
         return None;
     }
-    let cfg = analyzer::CommCheckConfig::new(np).with_symbols(opts.context.pairs());
-    let verdict = analyzer::verify_comm(out, &cfg);
-    if verdict.is_clean() {
-        return None;
+    let np = context.get("np").filter(|np| *np >= 2)?;
+    Some(analyzer::CommCheckConfig::new(np).with_symbols(context.pairs()))
+}
+
+/// The verifier's verdict on an emitted program, rendered as the
+/// `code: message` lines [`Status::AnalysisRejected`] carries; empty when
+/// the program was proved safe. A pure function of its two arguments.
+pub fn gate_verdict(emitted: &Program, cfg: &analyzer::CommCheckConfig) -> Vec<String> {
+    analyzer::verify_comm(emitted, cfg)
+        .diagnostics
+        .iter()
+        .map(|d| format!("{}: {}", d.code, d.message))
+        .collect()
+}
+
+/// Ship `emitted` on an empty verdict; otherwise withdraw it.
+pub fn apply_verdict(
+    original: &Program,
+    mut emitted: TransformOutput,
+    verdict: &[String],
+) -> TransformOutput {
+    if verdict.is_empty() {
+        return emitted;
     }
-    Some(
-        verdict
-            .diagnostics
-            .iter()
-            .map(|d| format!("{}: {}", d.code, d.message))
-            .collect(),
-    )
+    for o in &mut emitted.report.opportunities {
+        if o.status == Status::Applied {
+            o.strategy = None;
+            o.tile_size = None;
+            o.status = Status::AnalysisRejected(verdict.to_vec());
+        }
+    }
+    emitted.program = original.clone();
+    emitted
 }
 
 /// The replacement produced by planning one opportunity.

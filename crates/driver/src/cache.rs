@@ -16,11 +16,23 @@
 //! compiled pre-push program for transforms. Sweep workers
 //! ([`crate::exec::run_sweep`]) share one [global](global) cache; a hit
 //! skips parse → analyze → transform → lower → opt → typecheck entirely
-//! and goes straight to simulation. Reuse cannot change results:
-//! compilation is a pure function of the key, values are `Arc`-shared
-//! and never mutated, and execution depends only on (compiled program,
-//! np, model) — the same argument that lets all ranks of one scenario
-//! share one lowered program (DESIGN.md §5).
+//! and goes straight to simulation.
+//!
+//! Distinct shapes still collapse further: K-selection sends most models
+//! to the same K, so many transform shapes *emit the same program*. The
+//! report is per model (its notes quote the predictor), but the two
+//! expensive steps after emission — the analyzer gate and lower → opt →
+//! typecheck — read only the emitted program, `np`, and the context. So
+//! the cache holds a second, content-addressed level keyed by exactly
+//! those ([`EmissionKey`]): the gate's verdict and the compiled program
+//! are computed once per distinct emission and `Arc`-shared by every
+//! shape that emits it. Lock order is shape shard → emission shard, never
+//! the reverse.
+//!
+//! Reuse cannot change results: each level's value is a pure function of
+//! its key, values are `Arc`-shared and never mutated, and execution
+//! depends only on (compiled program, np, model) — the same argument that
+//! lets all ranks of one scenario share one lowered program (DESIGN.md §5).
 //!
 //! **Layer 2 — content hashes for incremental sweeps.** Every scenario's
 //! *simulation inputs* — the canonical spec bytes, the generated workload
@@ -34,15 +46,18 @@
 //! deterministic function of these inputs, so a matching hash means the
 //! baseline row is byte-for-byte what a fresh run would produce.
 
-use crate::measure::transform_workload;
+use crate::measure::workload_options;
 use crate::spec::ScenarioSpec;
+use analyzer::CommCheckConfig;
 use clustersim::NetworkModel;
+use compuniformer::transform::{apply_verdict, gate_config, gate_verdict};
 use compuniformer::TransformOutput;
+use fir::ast::Program;
 use interp::{compile_program, CompiledProgram, Options};
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock};
 use workloads::{fnv1a, fnv1a_extend, Workload};
 
 /// Bump when simulator, transformation, cost-model, or interpreter
@@ -97,6 +112,56 @@ pub fn transform_model_fingerprint(model: &NetworkModel, np: usize) -> u64 {
     fnv1a_extend(h, &[u8::from(caps.conservative)])
 }
 
+impl CompileKey {
+    fn shard_hash(&self) -> u64 {
+        let mut h = fnv1a(self.workload.as_bytes());
+        h = fnv1a_extend(h, self.size_id.as_bytes());
+        h = fold_i64(h, self.np as i64);
+        if let Some(t) = &self.transform {
+            h = match t.tile {
+                None => fnv1a_extend(h, &[0]),
+                Some(k) => fold_i64(fnv1a_extend(h, &[1]), k),
+            };
+            h = fnv1a_extend(h, &t.model_fp.to_le_bytes());
+        }
+        h
+    }
+}
+
+fn fold_i64(h: u64, v: i64) -> u64 {
+    fnv1a_extend(h, &v.to_le_bytes())
+}
+
+/// Exactly what the analyzer gate and the lowerer read of one emission:
+/// the emitted program — as its `fir::unparse` text, which `harness
+/// analyze` already relies on being faithful (unparse ∘ parse) — and the
+/// verifier's configuration. Spans are not part of the text; they only
+/// place diagnostics, and the gate keeps `code: message` lines.
+#[derive(PartialEq, Eq, Hash)]
+struct EmissionKey {
+    text: String,
+    np: i64,
+    symbols: Vec<(String, i64)>,
+    budget: u64,
+}
+
+impl EmissionKey {
+    fn shard_hash(&self) -> u64 {
+        let mut h = fold_i64(fnv1a(self.text.as_bytes()), self.np);
+        for (name, v) in &self.symbols {
+            h = fold_i64(fnv1a_extend(h, name.as_bytes()), *v);
+        }
+        fnv1a_extend(h, &self.budget.to_le_bytes())
+    }
+}
+
+/// What is computed once per distinct emission.
+struct Gated {
+    /// [`gate_verdict`]'s lines; empty when the emission was proved safe.
+    verdict: Vec<String>,
+    compiled: CompiledProgram,
+}
+
 /// A cached compilation: either the original program, or a transform
 /// (the full report — strategy, tile choice, K-selection status — plus
 /// the compiled pre-push program).
@@ -123,17 +188,74 @@ impl CacheStats {
     }
 }
 
-/// A concurrent, shard-locked compilation cache. Shards are selected by
-/// the key's FNV digest, so parallel sweep workers compiling different
-/// shapes almost never contend; a worker that loses the race for a shape
-/// blocks briefly on that shard and then *hits*, never compiling twice.
-pub struct CompileCache {
-    shards: Vec<Mutex<HashMap<CompileKey, Compiled>>>,
+const SHARDS: usize = 32;
+
+/// A concurrent, shard-locked memo table. Shards are selected by the
+/// key's FNV digest, so parallel sweep workers computing different keys
+/// almost never contend; a worker that loses the race for a key blocks
+/// briefly on that shard and then *hits*, never computing twice.
+struct ShardedMemo<K, V> {
+    shards: Vec<Mutex<HashMap<K, V>>>,
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
-const SHARDS: usize = 32;
+impl<K: Eq + Hash, V: Clone> ShardedMemo<K, V> {
+    fn new() -> Self {
+        ShardedMemo {
+            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
+            hits: AtomicU64::new(0),
+            misses: AtomicU64::new(0),
+        }
+    }
+
+    fn stats(&self) -> CacheStats {
+        CacheStats {
+            hits: self.hits.load(Ordering::Relaxed),
+            misses: self.misses.load(Ordering::Relaxed),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
+            .sum()
+    }
+
+    fn shard(&self, hash: u64) -> &Mutex<HashMap<K, V>> {
+        &self.shards[(hash as usize) % SHARDS]
+    }
+
+    /// Fetch or compute under the key's shard lock. Holding the lock
+    /// through the compute keeps the table single-compute-per-key (the
+    /// second racer blocks, then hits); other shards stay available.
+    fn get_or_compute(&self, hash: u64, key: K, compute: impl FnOnce() -> V) -> V {
+        let mut map = self.shard(hash).lock().unwrap_or_else(|e| e.into_inner());
+        if let Some(hit) = map.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return hit.clone();
+        }
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let value = compute();
+        map.insert(key, value.clone());
+        value
+    }
+
+    fn contains(&self, hash: u64, key: &K) -> bool {
+        self.shard(hash)
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .contains_key(key)
+    }
+}
+
+/// The two-level compilation cache: compilation shapes, and under them
+/// the distinct emitted programs (see the module docs).
+pub struct CompileCache {
+    shapes: ShardedMemo<CompileKey, Compiled>,
+    emissions: ShardedMemo<EmissionKey, Arc<Gated>>,
+}
 
 impl Default for CompileCache {
     fn default() -> Self {
@@ -144,63 +266,56 @@ impl Default for CompileCache {
 impl CompileCache {
     pub fn new() -> CompileCache {
         CompileCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            shapes: ShardedMemo::new(),
+            emissions: ShardedMemo::new(),
         }
     }
 
+    /// Shape-level hits and misses (one lookup per `original` /
+    /// `transformed` call).
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-        }
+        self.shapes.stats()
+    }
+
+    /// Emission-level counters: `misses` is the number of gate
+    /// verifications (and emitted-program compilations) performed, `hits`
+    /// the transform shapes that found their emission already gated.
+    pub fn gate_stats(&self) -> CacheStats {
+        self.emissions.stats()
     }
 
     /// Number of distinct compilation shapes currently cached.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.lock().unwrap_or_else(|e| e.into_inner()).len())
-            .sum()
+        self.shapes.len()
     }
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn shard(&self, key: &CompileKey) -> &Mutex<HashMap<CompileKey, Compiled>> {
-        let mut h = fnv1a(key.workload.as_bytes());
-        h = fnv1a_extend(h, key.size_id.as_bytes());
-        h = fnv1a_extend(h, &(key.np as u64).to_le_bytes());
-        if let Some(t) = &key.transform {
-            h = fnv1a_extend(h, format!("{:?}", t.tile).as_bytes());
-            h = fnv1a_extend(h, &t.model_fp.to_le_bytes());
-        }
-        &self.shards[(h as usize) % SHARDS]
-    }
-
-    /// Fetch or compute under the key's shard lock. Holding the lock
-    /// through the compute keeps the cache single-compile-per-shape (the
-    /// second racer blocks, then hits); other shards stay available.
     fn get_or_compile(&self, key: CompileKey, compile: impl FnOnce() -> Compiled) -> Compiled {
-        let shard = self.shard(&key);
-        let mut map = shard.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(hit) = map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return hit.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let value = compile();
-        map.insert(key, value.clone());
-        value
+        self.shapes.get_or_compute(key.shard_hash(), key, compile)
     }
 
     fn contains(&self, key: &CompileKey) -> bool {
-        self.shard(key)
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains_key(key)
+        self.shapes.contains(key.shard_hash(), key)
+    }
+
+    /// The gate's verdict on `emitted` and its compiled form, computed
+    /// once per distinct emission.
+    fn gated(&self, emitted: &Program, cfg: &CommCheckConfig, name: &str) -> Arc<Gated> {
+        let key = EmissionKey {
+            text: fir::unparse(emitted),
+            np: cfg.np,
+            symbols: cfg.symbols.clone(),
+            budget: cfg.budget,
+        };
+        self.emissions.get_or_compute(key.shard_hash(), key, || {
+            Arc::new(Gated {
+                verdict: gate_verdict(emitted, cfg),
+                compiled: compile(emitted, name),
+            })
+        })
     }
 
     /// Would this scenario's compilations all be served from cache right
@@ -241,7 +356,7 @@ impl CompileCache {
             transform: None,
         };
         let got = self.get_or_compile(key, || {
-            Compiled::Original(compile_workload_program(w))
+            Compiled::Original(compile(&w.program(), w.name()))
         });
         match got {
             Compiled::Original(p) => p,
@@ -269,11 +384,27 @@ impl CompileCache {
             }),
         };
         let got = self.get_or_compile(key, || {
-            let out = transform_workload(w, model, spec.tile_size);
-            let compiled = compile_program(&out.program, &Options::default())
-                .unwrap_or_else(|e| {
-                    panic!("workload `{}` transformed program must compile: {e}", w.name())
-                });
+            let original = w.program();
+            let opts = workload_options(w, model, spec.tile_size);
+            let emitted = compuniformer::emit(&original, &opts)
+                .unwrap_or_else(|e| panic!("workload `{}` must transform: {e}", w.name()));
+            let (out, compiled) = match gate_config(&emitted, &opts.context) {
+                // Nothing applied: the emission is the original program.
+                None => {
+                    let compiled = compile(&emitted.program, w.name());
+                    (emitted, compiled)
+                }
+                Some(cfg) => {
+                    let gated = self.gated(&emitted.program, &cfg, w.name());
+                    let out = apply_verdict(&original, emitted, &gated.verdict);
+                    let compiled = if gated.verdict.is_empty() {
+                        gated.compiled.clone()
+                    } else {
+                        compile(&out.program, w.name())
+                    };
+                    (out, compiled)
+                }
+            };
             Compiled::Transformed(Arc::new(out), compiled)
         });
         match got {
@@ -283,11 +414,11 @@ impl CompileCache {
     }
 }
 
-/// Compile a workload's original program under the sweep's (default)
-/// interpreter options.
-fn compile_workload_program(w: &dyn Workload) -> CompiledProgram {
-    compile_program(&w.program(), &Options::default())
-        .unwrap_or_else(|e| panic!("workload `{}` must compile: {e}", w.name()))
+/// Lower → opt → typecheck one of a workload's programs under the sweep's
+/// (default) interpreter options.
+fn compile(program: &Program, workload: &str) -> CompiledProgram {
+    compile_program(program, &Options::default())
+        .unwrap_or_else(|e| panic!("workload `{workload}` must compile: {e}"))
 }
 
 /// The process-wide cache every sweep worker shares. Entries are small
@@ -418,6 +549,7 @@ pub fn hash_from_hex(s: &str) -> Option<u64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::measure::transform_workload;
     use crate::spec::{ModelSpec, SizeClass, Variant};
 
     fn spec(model: ModelSpec, tile: Option<i64>) -> ScenarioSpec {
@@ -514,6 +646,120 @@ mod tests {
             outs.iter().map(|(_, f, _)| f).collect::<std::collections::HashSet<_>>().len() >= 7,
             "the families must produce mostly-distinct fingerprints"
         );
+    }
+
+    /// The emission level is sound and counts what it should: across the
+    /// registry at standard size, np {8, 16, 32} and ten models of every
+    /// family, each cached transform equals a fresh `transform_workload`
+    /// (program text and per-model report), and the gate ran exactly once
+    /// per distinct (emitted text, np, context) — far fewer times than
+    /// there were transform shapes.
+    #[test]
+    fn emissions_are_gated_once_each_and_match_fresh_transforms() {
+        use clustersim::HeteroProfile;
+        let models = [
+            ModelSpec::Mpich,
+            ModelSpec::MpichGm,
+            ModelSpec::RdmaIdeal,
+            ModelSpec::MpichBeta(0.25),
+            ModelSpec::MpichBeta(2.0),
+            ModelSpec::MpichBeta(8.0),
+            ModelSpec::Congested { links: 1, load: 2.0 },
+            ModelSpec::Congested { links: 4, load: 3.0 },
+            ModelSpec::Hetero(HeteroProfile::HalfSlow),
+            ModelSpec::Hetero(HeteroProfile::Straggler),
+        ];
+        let cache = CompileCache::new();
+        let mut gated = 0;
+        let mut distinct = std::collections::HashSet::new();
+        for entry in workloads::registry() {
+            for np in [8usize, 16, 32] {
+                let w = (entry.make)(SizeClass::Standard, np);
+                for m in &models {
+                    let s = ScenarioSpec {
+                        workload: entry.name.into(),
+                        size: SizeClass::Standard,
+                        np,
+                        model: m.clone(),
+                        tile_size: None,
+                        variant: Variant::Compare,
+                    };
+                    let model = m.to_model();
+                    let (out, _) = cache.transformed(&s, &*w, &model);
+                    let fresh = transform_workload(&*w, &model, None);
+                    let text = fir::unparse(&out.program);
+                    let label = s.key();
+                    assert_eq!(text, fir::unparse(&fresh.program), "{label}: program");
+                    assert_eq!(
+                        format!("{:?}", out.report),
+                        format!("{:?}", fresh.report),
+                        "{label}: report"
+                    );
+                    if out.report.applied_count() > 0 {
+                        gated += 1;
+                        distinct.insert((text, np, w.context_pairs()));
+                    }
+                }
+            }
+        }
+        let shapes = cache.stats();
+        let gate = cache.gate_stats();
+        assert_eq!(shapes, CacheStats { hits: 0, misses: 240 });
+        assert_eq!(gate.misses, distinct.len() as u64, "one verification per emission");
+        assert_eq!(gate.hits + gate.misses, gated, "every applied shape consults the gate");
+        assert!(
+            gate.misses * 2 < shapes.misses,
+            "{} verifications for {} transform shapes",
+            gate.misses,
+            shapes.misses
+        );
+    }
+
+    /// Eight workers, eight distinct capability fingerprints, one emitted
+    /// program: the shape level misses eight times, the emission level
+    /// verifies and compiles once — the losers of the race block on the
+    /// emission's shard, then hit — and all share one compiled program.
+    #[test]
+    fn racing_models_verify_a_shared_emission_once() {
+        let betas = [0.25, 0.5, 0.75, 1.5, 2.0, 3.0, 4.0, 8.0];
+        let specs: Vec<ScenarioSpec> = betas
+            .iter()
+            .map(|f| ScenarioSpec {
+                np: 4,
+                ..spec(ModelSpec::MpichBeta(*f), None)
+            })
+            .collect();
+        let fingerprints: std::collections::HashSet<u64> = specs
+            .iter()
+            .map(|s| transform_model_fingerprint(&s.model.to_model(), s.np))
+            .collect();
+        assert_eq!(fingerprints.len(), specs.len(), "eight distinct shapes");
+
+        let cache = CompileCache::new();
+        let start = std::sync::Barrier::new(specs.len());
+        let results: Vec<(Arc<TransformOutput>, CompiledProgram)> = std::thread::scope(|scope| {
+            let workers: Vec<_> = specs
+                .iter()
+                .map(|s| {
+                    let (cache, start) = (&cache, &start);
+                    scope.spawn(move || {
+                        let w = workload_of(s);
+                        start.wait();
+                        cache.transformed(s, &*w, &s.model.to_model())
+                    })
+                })
+                .collect();
+            workers.into_iter().map(|w| w.join().unwrap()).collect()
+        });
+
+        assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 8 });
+        assert_eq!(cache.gate_stats(), CacheStats { hits: 7, misses: 1 });
+        let (first_out, first_compiled) = &results[0];
+        assert_eq!(first_out.report.applied_count(), 1);
+        for (out, compiled) in &results[1..] {
+            assert_eq!(fir::unparse(&out.program), fir::unparse(&first_out.program));
+            assert!(compiled.ptr_eq(first_compiled), "one shared compilation");
+        }
     }
 
     /// The input-hash model section must cover family-specific constants:

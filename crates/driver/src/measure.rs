@@ -77,22 +77,32 @@ pub fn model_caps(model: &NetworkModel, np: usize) -> ModelCaps {
     }
 }
 
+/// The transformation options every sweep transform runs under: the
+/// workload's analysis context, the assume-safe oracle, and the
+/// model-informed K heuristic.
+pub(crate) fn workload_options(
+    w: &dyn Workload,
+    model: &NetworkModel,
+    tile_size: Option<i64>,
+) -> Options {
+    let context = w.context();
+    let np = context.get("np").unwrap_or(8).max(1) as usize;
+    Options {
+        tile_size,
+        context,
+        oracle: UserOracle::AssumeSafe,
+        kselect_model: model_caps(model, np),
+        ..Default::default()
+    }
+}
+
 /// Transform a workload with the model-informed K heuristic.
 pub fn transform_workload(
     w: &dyn Workload,
     model: &NetworkModel,
     tile_size: Option<i64>,
 ) -> TransformOutput {
-    let context = w.context();
-    let np = context.get("np").unwrap_or(8).max(1) as usize;
-    let opts = Options {
-        tile_size,
-        context,
-        oracle: UserOracle::AssumeSafe,
-        kselect_model: model_caps(model, np),
-        ..Default::default()
-    };
-    transform(&w.program(), &opts)
+    transform(&w.program(), &workload_options(w, model, tile_size))
         .unwrap_or_else(|e| panic!("workload `{}` must transform: {e}", w.name()))
 }
 

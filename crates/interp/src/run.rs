@@ -139,6 +139,11 @@ impl CompiledProgram {
         &self.opts
     }
 
+    /// Are the two handles one compilation (clones of one handle)?
+    pub fn ptr_eq(&self, other: &CompiledProgram) -> bool {
+        Arc::ptr_eq(&self.lowered, &other.lowered)
+    }
+
     /// Run the compiled program on `np` simulated ranks. Repeated runs
     /// are independent and deterministic: virtual times, stats, outputs,
     /// and traces depend only on (compiled program, np, model).

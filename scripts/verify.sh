@@ -15,6 +15,15 @@ cargo build --release --workspace --all-targets
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark package: compiles against these crates, names/units match BENCHMARK.json"
+# benchmark/ is a detached workspace the two steps above never build, so
+# an API change in crates/* could break it silently. Its tests run one
+# smoke pass per workload and check every metric name and unit against
+# BENCHMARK.json. (target/bench-package keeps its artifacts under the
+# ignored target/ tree.)
+CARGO_TARGET_DIR=target/bench-package \
+  cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> harness quick (smoke-runs the binary; emits BENCH_sweep.json)"
 # (Re)writes the quick-grid perf-trajectory artifact in the repo root;
 # the bytes are deterministic, so a dirty BENCH_sweep.json after this

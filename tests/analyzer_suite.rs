@@ -173,3 +173,73 @@ fn budget_exhaustion_is_one_a007_and_excludes_the_rank_from_a005() {
     cfg.budget = 5;
     assert!(verify_comm(&program, &cfg).is_clean());
 }
+
+/// The gate half of `compuniformer::transform`, on a real emission: a
+/// clean one passes through untouched; one whose final `mpi_waitall` was
+/// deleted is withdrawn — the original program ships, and every site that
+/// had been applied carries the verifier's lines instead of a strategy.
+#[test]
+fn gate_passes_a_clean_emission_and_withdraws_a_broken_one() {
+    use compuniformer::{emit, gate, Options, Status, TransformOutput};
+    use workloads::Workload;
+
+    let w = workloads::direct2d::Direct2d::small(4);
+    let original = w.program();
+    let opts = Options {
+        context: w.context(),
+        apply_even_if_unprofitable: true,
+        ..Default::default()
+    };
+    let emitted = emit(&original, &opts).expect("direct2d transforms");
+    let applied: Vec<bool> = emitted.report.opportunities.iter().map(|o| o.applied()).collect();
+    assert!(applied.contains(&true));
+    let emitted_text = fir::unparse(&emitted.program);
+
+    let clean = gate(
+        &original,
+        TransformOutput {
+            program: emitted.program.clone(),
+            report: emitted.report.clone(),
+        },
+        &opts.context,
+    );
+    assert_eq!(fir::unparse(&clean.program), emitted_text);
+    assert_eq!(
+        format!("{:?}", clean.report),
+        format!("{:?}", emitted.report),
+        "a clean emission comes back untouched"
+    );
+
+    let lines: Vec<&str> = emitted_text.lines().collect();
+    let last_wait = lines
+        .iter()
+        .rposition(|l| l.trim() == "call mpi_waitall()")
+        .expect("the emission ends its exchange with a wait");
+    let broken_text: String = lines
+        .iter()
+        .enumerate()
+        .filter(|(i, _)| *i != last_wait)
+        .flat_map(|(_, l)| [*l, "\n"])
+        .collect();
+    let broken = TransformOutput {
+        program: fir::parse_validated(&broken_text).expect("still a valid program"),
+        report: emitted.report.clone(),
+    };
+
+    let withdrawn = gate(&original, broken, &opts.context);
+    assert_eq!(withdrawn.program, original, "the original program ships");
+    assert_eq!(withdrawn.report.applied_count(), 0);
+    for (o, was_applied) in withdrawn.report.opportunities.iter().zip(applied) {
+        if !was_applied {
+            continue;
+        }
+        let Status::AnalysisRejected(diags) = &o.status else {
+            panic!("applied site must be withdrawn, got {:?}", o.status);
+        };
+        assert!(
+            diags.iter().any(|d| d.starts_with("A001: ")),
+            "the unwaited sends must be named: {diags:?}"
+        );
+        assert_eq!((o.strategy, o.tile_size), (None, None));
+    }
+}
