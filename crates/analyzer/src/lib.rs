@@ -18,9 +18,9 @@
 //!   - collectives that diverge across ranks ([`Code::A005`]).
 //!
 //! - **Type inference** ([`types`]): the slot-level monomorphic lattice
-//!   (int / float / array-of / unknown) that [`interp`]'s optimizer uses
-//!   to compile `ChainScalar`/`ChainArray` instructions into *typed*
-//!   variants that skip runtime value-tag dispatch. The lattice and the
+//!   (int / float / array-of / unknown) that [`interp`]'s optimizer
+//!   compiles summarized blocks from: statically typed register code
+//!   with no runtime value-tag dispatch. The lattice and the
 //!   promotion rules live here; the traversal over lowered programs lives
 //!   in `interp::typeck` (lowered IR is private to `interp`).
 //!

@@ -6,8 +6,8 @@
 //! "Inference" is therefore seeding from declarations plus a bottom-up
 //! walk over expressions with Fortran's promotion rules — no fixpoint.
 //! The lattice still carries [`Ty::Unknown`] as a top element so the
-//! optimizer can decline to specialize anything it cannot prove (a chain
-//! whose operand type is `Unknown` stays on the dynamic dispatch path).
+//! optimizer can decline to compile anything it cannot prove (a statement
+//! with an `Unknown` operand stays on the tree-walker).
 //!
 //! The traversal over `interp`'s lowered IR lives in `interp::typeck`
 //! (the IR is private to that crate); this module owns the lattice, the
@@ -127,10 +127,10 @@ pub struct ProcTypes {
     pub scalars: Vec<(String, Ty)>,
     /// (name, element type) per array slot, in slot order.
     pub arrays: Vec<(String, Ty)>,
-    /// Chain instructions compiled to a typed (monomorphic) variant.
-    pub chains_typed: usize,
-    /// Chain instructions left on the dynamic value-tag dispatch path.
-    pub chains_dyn: usize,
+    /// Assignment statements compiled into typed (register-code) blocks.
+    pub stmts_typed: usize,
+    /// Assignment statements left to the tree-walker.
+    pub stmts_walked: usize,
 }
 
 /// Whole-program type-inference result.
@@ -140,12 +140,12 @@ pub struct TypeReport {
 }
 
 impl TypeReport {
-    pub fn chains_typed(&self) -> usize {
-        self.procs.iter().map(|p| p.chains_typed).sum()
+    pub fn stmts_typed(&self) -> usize {
+        self.procs.iter().map(|p| p.stmts_typed).sum()
     }
 
-    pub fn chains_dyn(&self) -> usize {
-        self.procs.iter().map(|p| p.chains_dyn).sum()
+    pub fn stmts_walked(&self) -> usize {
+        self.procs.iter().map(|p| p.stmts_walked).sum()
     }
 
     pub fn to_json(&self) -> String {
@@ -156,10 +156,10 @@ impl TypeReport {
                 s.push(',');
             }
             s.push_str(&format!(
-                "{{\"name\":{},\"chains_typed\":{},\"chains_dyn\":{},\"scalars\":{{",
+                "{{\"name\":{},\"stmts_typed\":{},\"stmts_walked\":{},\"scalars\":{{",
                 json_string(&p.name),
-                p.chains_typed,
-                p.chains_dyn
+                p.stmts_typed,
+                p.stmts_walked
             ));
             for (j, (n, t)) in p.scalars.iter().enumerate() {
                 if j > 0 {
@@ -177,9 +177,9 @@ impl TypeReport {
             s.push_str("}}");
         }
         s.push_str(&format!(
-            "],\"chains_typed\":{},\"chains_dyn\":{}}}",
-            self.chains_typed(),
-            self.chains_dyn()
+            "],\"stmts_typed\":{},\"stmts_walked\":{}}}",
+            self.stmts_typed(),
+            self.stmts_walked()
         ));
         s
     }

@@ -419,7 +419,13 @@ fn analyze_cmd(args: &[String]) {
                 .report
                 .types
                 .as_ref()
-                .map(|t| format!("{} typed / {} dyn chains", t.chains_typed(), t.chains_dyn()))
+                .map(|t| {
+                    format!(
+                        "{} typed / {} walked statements",
+                        t.stmts_typed(),
+                        t.stmts_walked()
+                    )
+                })
                 .unwrap_or_else(|| "types unavailable".into());
             if row.is_clean() {
                 println!("  ok    {:<40} {}", row.label(), types);

@@ -7,7 +7,12 @@
 //! RDMA NIC progresses transfers without host CPU involvement, a TCP stack
 //! burns CPU on every byte.
 //!
-//! - One OS thread per simulated rank; each rank owns a virtual clock.
+//! - Each rank owns a virtual clock. Production runs ranks as resumable
+//!   state machines ([`Cluster::run_resumable`]) stepped by a bounded set
+//!   of pool workers — `min(np, cores)` by default — so np is not a thread
+//!   count; [`Cluster::run`] (one pooled OS thread per rank, as in the
+//!   example below) is the reference engine the differential suites compare
+//!   against.
 //! - Real payloads move between ranks, so the interpreter on top validates
 //!   program *correctness* and *performance* in a single run.
 //! - The timing model is LogGP extended with per-byte CPU involvement (β):

@@ -410,14 +410,19 @@ impl Shared {
         }
     }
 
-    /// How many of each distinct key `keys` requests (multiset need).
-    /// Linear scan — wait lists are small and `MsgKey` no longer hashes.
+    /// How many of each distinct key `keys` requests (multiset need), in
+    /// `(src, tag)` order: sort a scratch copy, count the runs. A parked
+    /// rank re-derives this on every poll, and at np 256 its 255 pending
+    /// keys made a find-per-key scan ~32 k comparisons each time. All keys
+    /// share one `dst`, so `(src, tag)` is the whole identity.
     fn key_needs(keys: &[MsgKey]) -> Vec<(MsgKey, usize)> {
-        let mut needs: Vec<(MsgKey, usize)> = Vec::with_capacity(keys.len());
-        for k in keys {
-            match needs.iter_mut().find(|(nk, _)| nk == k) {
-                Some((_, n)) => *n += 1,
-                None => needs.push((*k, 1)),
+        let mut sorted = keys.to_vec();
+        sorted.sort_unstable_by_key(|k| (k.src, k.tag));
+        let mut needs: Vec<(MsgKey, usize)> = Vec::with_capacity(sorted.len());
+        for k in sorted {
+            match needs.last_mut() {
+                Some((last, n)) if *last == k => *n += 1,
+                _ => needs.push((k, 1)),
             }
         }
         needs
@@ -909,6 +914,32 @@ mod tests {
             // wire(3B) ≈ 12ns under GM; arrival = max(1000, 0 + 12) = 1000.
             assert_eq!(arrival, SimTime(1000));
             assert_eq!(payload.as_ref(), &[1, 2, 3]);
+        }
+    }
+
+    #[test]
+    fn repeated_keys_need_one_message_each() {
+        let k = |src, tag| MsgKey { src, dst: 2, tag };
+        // The same envelope posted twice, not adjacently.
+        let posted = [k(1, 7), k(0, 7), k(1, 7), k(1, 8)];
+        assert_eq!(
+            Shared::key_needs(&posted),
+            vec![(k(0, 7), 1), (k(1, 7), 2), (k(1, 8), 1)]
+        );
+        for s in backends(3) {
+            let msg = |b: u8| InFlight {
+                ready_at: SimTime(100),
+                payload: Bytes::from(vec![b]),
+            };
+            s.deposit(k(0, 7), msg(0));
+            s.deposit(k(1, 8), msg(3));
+            s.deposit(k(1, 7), msg(1));
+            assert!(s.try_match_all(2, &posted).is_none(), "one (1, 7) short");
+            s.deposit(k(1, 7), msg(2));
+            let got = s.try_match_all(2, &posted).expect("every need is met");
+            // Payloads come back in posted order, FIFO within an envelope.
+            let bytes: Vec<u8> = got.iter().map(|(_, p)| p[0]).collect();
+            assert_eq!(bytes, vec![1, 0, 2, 3]);
         }
     }
 

@@ -452,7 +452,9 @@ fn options_fingerprint(h: u64, opts: &Options) -> u64 {
             u8::from(opts.detect_buffer_reuse),
             u8::from(opts.trace),
             u8::from(opts.optimize),
-            u8::from(opts.typed_chains),
+            // A retired switch (`typed_chains`, always on): the byte stays
+            // so committed `input_hash` values do not move.
+            1,
         ],
     )
 }

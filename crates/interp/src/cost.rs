@@ -52,19 +52,12 @@ pub struct Options {
     /// traces are byte-identical either way (pinned by the differential
     /// suites) — turning it off only slows the simulation down.
     pub optimize: bool,
-    /// Compile statically monomorphic `ChainScalar`/`ChainArray`
-    /// instructions to typed accumulator loops ([`crate::typeck`]),
-    /// skipping the per-operation value-tag dispatch. On by default;
-    /// virtual times, outputs, and traces are byte-identical either way
-    /// (the typed loops replicate `eval_binop`'s monomorphic arms
-    /// bit-for-bit and block charges are precomputed — DESIGN.md §3).
-    pub typed_chains: bool,
     /// Execute ranks as resumable state machines on a bounded worker set
     /// ([`crate::machine`]) instead of parking one OS thread per rank. On
     /// by default; virtual times, stats, outputs, and traces are
     /// byte-identical either way (pinned by the differential suites;
     /// argument in DESIGN.md §3) — the switch exists so those suites can
-    /// prove it, mirroring `optimize`/`typed_chains`.
+    /// prove it, mirroring `optimize`.
     pub resumable: bool,
     /// Worker threads driving the resumable engine; `None` means
     /// `min(np, available cores)`. A host-side throughput knob only —
@@ -79,7 +72,6 @@ impl Default for Options {
             detect_buffer_reuse: false,
             trace: false,
             optimize: true,
-            typed_chains: true,
             resumable: true,
             rank_workers: None,
         }

@@ -103,22 +103,47 @@ impl BoundArray {
     }
 
     /// Flat offset (within the view) of a subscript vector against the
-    /// bound shape.
+    /// bound shape. Ranks 1 and 2 — nearly every access — are straight
+    /// code; all ranks make the same checks in the same order.
+    #[inline]
     pub fn flat(&self, name: &str, indices: &[i64]) -> Result<usize, crate::value::BoundsError> {
-        let mut off = 0usize;
-        for (d, (&ix, &(lo, hi))) in indices.iter().zip(&self.bounds).enumerate() {
-            if ix < lo || ix > hi {
-                return Err(crate::value::BoundsError {
-                    array: name.to_string(),
-                    dim: d,
-                    index: ix,
-                    lower: lo,
-                    upper: hi,
-                });
+        let fail = |d: usize| {
+            let (lower, upper) = self.bounds[d];
+            crate::value::BoundsError {
+                array: name.to_string(),
+                dim: d,
+                index: indices[d],
+                lower,
+                upper,
             }
-            off += (ix - lo) as usize * self.strides[d];
+        };
+        match (indices, self.bounds.as_slice()) {
+            (&[i], &[(lo, hi)]) => {
+                if i < lo || i > hi {
+                    return Err(fail(0));
+                }
+                Ok((i - lo) as usize)
+            }
+            (&[i, j], &[(lo0, hi0), (lo1, hi1)]) => {
+                if i < lo0 || i > hi0 {
+                    return Err(fail(0));
+                }
+                if j < lo1 || j > hi1 {
+                    return Err(fail(1));
+                }
+                Ok((i - lo0) as usize + (j - lo1) as usize * self.strides[1])
+            }
+            _ => {
+                let mut off = 0usize;
+                for (d, (&ix, &(lo, hi))) in indices.iter().zip(&self.bounds).enumerate() {
+                    if ix < lo || ix > hi {
+                        return Err(fail(d));
+                    }
+                    off += (ix - lo) as usize * self.strides[d];
+                }
+                Ok(off)
+            }
         }
-        Ok(off)
     }
 
     pub fn get(&self, name: &str, indices: &[i64]) -> Result<Scalar, crate::value::BoundsError> {

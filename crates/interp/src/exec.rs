@@ -16,9 +16,10 @@
 use crate::cost::Options;
 use crate::env::{ArrayHandle, BoundArray};
 use crate::lower::{
-    BufferKind, Builtin, ChainTy, Hoist, Instr, Intr, LArg, LCallArg, LExpr, LProc, LProgram,
-    LSecDim, LSection, LStmt, Operand,
+    BufferKind, Builtin, Hoist, Intr, LArg, LCallArg, LExpr, LProc, LProgram, LSecDim, LSection,
+    LStmt,
 };
+use crate::reg::{RegCode, RegFile, LOOP_VAR, NREGS};
 use crate::value::{ArrayStorage, Scalar};
 use clustersim::{Bytes, Comm, RecvId, SimTime};
 use fir::ast::{BinOp, UnOp};
@@ -30,6 +31,7 @@ macro_rules! rt_err {
         panic!("interp: {}", format!($($arg)*))
     };
 }
+pub(crate) use rt_err;
 
 /// A posted receive's target slice.
 struct PendingBuf {
@@ -55,7 +57,12 @@ pub(crate) struct LFrame {
     arrays: Vec<Option<BoundArray>>,
     /// Loop-invariant values cached at loop entry ([`crate::opt`]); every
     /// `LExpr::Hoisted` read is dominated by its loop's entry write.
-    hoisted: Vec<Scalar>,
+    pub(crate) hoisted: Vec<Scalar>,
+    /// Some dummy array of this activation aliases storage of another
+    /// element type than it declares (sequence association), so the
+    /// declared types the register code was compiled against do not
+    /// describe this frame: its blocks run on the tree-walker.
+    retyped: bool,
 }
 
 impl LFrame {
@@ -64,6 +71,7 @@ impl LFrame {
             scalars: proc.scalar_defaults.clone(),
             arrays: (0..proc.array_names.len()).map(|_| None).collect(),
             hoisted: vec![Scalar::Int(0); proc.hoist_slots],
+            retyped: false,
         };
         // Slots 0/1 are reserved by the lowering for mynum/np.
         f.scalars[0] = Scalar::Int(rank);
@@ -71,13 +79,8 @@ impl LFrame {
         f
     }
 
-    #[inline(always)]
-    fn scalar(&self, _proc: &LProc, slot: u32) -> Scalar {
-        self.scalars[slot as usize]
-    }
-
     #[inline]
-    fn array(&self, slot: u32) -> &BoundArray {
+    pub(crate) fn array(&self, slot: u32) -> &BoundArray {
         self.arrays[slot as usize]
             .as_ref()
             .expect("arrays are bound during allocate_locals, before any use")
@@ -108,9 +111,8 @@ pub(crate) struct Interp<'p> {
     pending: Vec<(RecvId, PendingBuf)>,
     inflight: Vec<InflightRegion>,
     ops: u64,
-    /// Reusable operand stack and subscript buffer for block tapes.
-    stack: Vec<Scalar>,
-    idx_buf: Vec<i64>,
+    /// The register file every summarized block of this rank runs in.
+    regs: RegFile,
 }
 
 impl<'p> Interp<'p> {
@@ -122,8 +124,7 @@ impl<'p> Interp<'p> {
             pending: Vec::new(),
             inflight: Vec::new(),
             ops: 0,
-            stack: Vec::new(),
-            idx_buf: Vec::new(),
+            regs: [0; NREGS],
         }
     }
 
@@ -167,7 +168,7 @@ impl<'p> Interp<'p> {
         match e {
             LExpr::Int(v) => Scalar::Int(*v),
             LExpr::Real(v) => Scalar::Real(*v),
-            LExpr::Var(slot) => frame.scalar(proc, *slot),
+            LExpr::Var(slot) => frame.scalars[*slot as usize],
             // Folded/hoisted subtrees charge their historical node count
             // (minus the 1 charged on entry above) so virtual times match
             // the unoptimized walk exactly.
@@ -240,41 +241,8 @@ impl<'p> Interp<'p> {
         comm: &mut Comm,
     ) {
         match s {
-            LStmt::AssignScalar { slot, ty, value } => {
-                let v = {
-                    let f = frame.borrow();
-                    self.eval(proc, &f, value)
-                };
-                self.charge_stmt(comm);
-                frame.borrow_mut().scalars[*slot as usize] = v.convert_to(*ty);
-            }
-            LStmt::AssignArray {
-                slot,
-                name,
-                indices,
-                value,
-            } => {
-                let (idx, v) = {
-                    let f = frame.borrow();
-                    let idx = self.eval_indices(proc, &f, indices);
-                    let v = self.eval(proc, &f, value);
-                    (idx, v)
-                };
-                self.charge_stmt(comm);
-                let Some(slot) = slot else {
-                    rt_err!("`{name}` is not an array in this scope");
-                };
-                let (abs, alloc) = {
-                    let f = frame.borrow();
-                    let binding = f.array(*slot);
-                    match binding.set(name, &idx, v) {
-                        Ok(abs) => (abs, binding.handle.alloc_id()),
-                        Err(be) => rt_err!("{be}"),
-                    }
-                };
-                if self.opts.detect_buffer_reuse {
-                    self.check_inflight_write(alloc, abs, name, comm);
-                }
+            LStmt::AssignScalar { .. } | LStmt::AssignArray { .. } | LStmt::SetVar { .. } => {
+                self.exec_assign(proc, frame, s, Some(comm))
             }
             LStmt::Do {
                 var,
@@ -288,10 +256,10 @@ impl<'p> Interp<'p> {
             } => {
                 let (lo, hi, st) =
                     self.do_prologue(proc, frame, lower, upper, step.as_ref(), var_name, hoists, comm);
-                if let (Some(charge), [LStmt::Block { code, .. }]) =
+                if let (Some(charge), [LStmt::Block { stmts, code, .. }]) =
                     (*iter_charge, body.as_slice())
                 {
-                    self.run_summarized_do(proc, frame, *var, code, lo, hi, st, charge, comm);
+                    self.run_summarized_do(proc, frame, *var, stmts, code, lo, hi, st, charge, comm);
                 } else {
                     let mut i = lo;
                     loop {
@@ -323,23 +291,24 @@ impl<'p> Interp<'p> {
                     self.exec_stmt(proc, frame, b, comm);
                 }
             }
-            LStmt::Block { code, charge, .. } => {
+            LStmt::Block {
+                stmts,
+                code,
+                charge,
+            } => {
                 debug_assert_eq!(self.ops, 0, "blocks start at a charge boundary");
-                let mut stack = std::mem::take(&mut self.stack);
-                let mut idx = std::mem::take(&mut self.idx_buf);
-                {
-                    let mut f = frame.borrow_mut();
-                    run_tape(proc, &mut f, code, &mut stack, &mut idx);
+                if frame.borrow().retyped {
+                    self.walk_block(proc, frame, stmts);
+                } else {
+                    let (mut f, r) = (frame.borrow_mut(), &mut self.regs);
+                    code.enter(&f, r);
+                    code.body(proc, &f, r);
+                    code.leave(&mut f, r);
                 }
-                self.stack = stack;
-                self.idx_buf = idx;
                 // The per-statement charges were precomputed (and rounded
                 // per statement, exactly like `charge_stmt`) at opt time;
                 // one summarizing add replaces them all.
                 comm.advance_exact(SimTime::from_ns(*charge));
-            }
-            LStmt::SetVar { .. } => {
-                unreachable!("SetVar only appears inside summarized blocks")
             }
             LStmt::CallBuiltin { op, name, args } => {
                 self.exec_builtin(proc, frame, *op, name, args, comm)
@@ -350,6 +319,74 @@ impl<'p> Interp<'p> {
             LStmt::CallUnknown { name } => {
                 rt_err!("call to unknown subroutine `{name}` (validation gap)")
             }
+        }
+    }
+
+    /// One straight-line statement on the tree-walker. Outside a block
+    /// (`comm` given) it pays its own charge, exactly where the historical
+    /// walk did; inside one (`walk_block`) the block's precomputed add
+    /// covers it and the counted ops are dropped.
+    fn exec_assign(
+        &mut self,
+        proc: &LProc,
+        frame: &FrameCell,
+        s: &LStmt,
+        mut comm: Option<&mut Comm>,
+    ) {
+        let mut settle = |me: &mut Self| match comm.as_deref_mut() {
+            Some(comm) => me.charge_stmt(comm),
+            None => me.ops = 0,
+        };
+        match s {
+            LStmt::AssignScalar { slot, ty, value } => {
+                let v = self.eval(proc, &frame.borrow(), value);
+                settle(self);
+                frame.borrow_mut().scalars[*slot as usize] = v.convert_to(*ty);
+            }
+            LStmt::AssignArray {
+                slot,
+                name,
+                indices,
+                value,
+            } => {
+                let (idx, v) = {
+                    let f = frame.borrow();
+                    let idx = self.eval_indices(proc, &f, indices);
+                    (idx, self.eval(proc, &f, value))
+                };
+                settle(self);
+                let Some(slot) = slot else {
+                    rt_err!("`{name}` is not an array in this scope");
+                };
+                let (abs, alloc) = {
+                    let f = frame.borrow();
+                    let binding = f.array(*slot);
+                    match binding.set(name, &idx, v) {
+                        Ok(abs) => (abs, binding.handle.alloc_id()),
+                        Err(be) => rt_err!("{be}"),
+                    }
+                };
+                // Array stores join blocks only when detection is off.
+                if let (true, Some(comm)) = (self.opts.detect_buffer_reuse, comm) {
+                    self.check_inflight_write(alloc, abs, name, comm);
+                }
+            }
+            LStmt::SetVar { slot, v, charge } => {
+                frame.borrow_mut().scalars[*slot as usize] = Scalar::Int(*v);
+                if let Some(comm) = comm {
+                    comm.advance_exact(SimTime::from_ns(*charge));
+                }
+            }
+            other => unreachable!("not a straight-line statement: {other:?}"),
+        }
+    }
+
+    /// The cold way through a block, for an activation whose dummy arrays
+    /// are not of their declared types: charges are node counts and do not
+    /// depend on types, so the caller's precomputed add still applies.
+    fn walk_block(&mut self, proc: &LProc, frame: &FrameCell, stmts: &[LStmt]) {
+        for s in stmts {
+            self.exec_assign(proc, frame, s, None);
         }
     }
 
@@ -386,44 +423,50 @@ impl<'p> Interp<'p> {
         (lo, hi, st)
     }
 
-    /// Whole-body-block fast path, shared by both engines: hold the frame
-    /// borrow and scratch buffers across iterations, and charge
-    /// `iterations × per-iteration` in ONE add at the end — integer
-    /// multiplication distributes over the addition the tree-walker
-    /// performed, and no statement in the block can observe the clock, so
-    /// virtual times are unchanged to the bit. Contains no blocking point,
-    /// so the resumable engine runs it inline without suspending.
+    /// Whole-body-block fast path, shared by both engines: run the block's
+    /// prologue once, its body per iteration (writing the loop variable's
+    /// register), its epilogue once, and charge `iterations × per-iteration`
+    /// in ONE add at the end — integer multiplication distributes over the
+    /// addition the tree-walker performed, and no statement in the block
+    /// can observe the clock, so virtual times are unchanged to the bit.
+    /// Contains no blocking point, so the resumable engine runs it inline
+    /// without suspending.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn run_summarized_do(
         &mut self,
         proc: &'p LProc,
         frame: &FrameCell,
         var: u32,
-        code: &'p [Instr],
+        stmts: &'p [LStmt],
+        code: &'p RegCode,
         lo: i64,
         hi: i64,
         st: i64,
         charge: u64,
         comm: &mut Comm,
     ) {
-        let mut stack = std::mem::take(&mut self.stack);
-        let mut idx = std::mem::take(&mut self.idx_buf);
+        let done = |i: i64| (st > 0 && i > hi) || (st < 0 && i < hi);
         let mut iters: u64 = 0;
-        {
-            let mut f = frame.borrow_mut();
-            let mut i = lo;
-            loop {
-                if (st > 0 && i > hi) || (st < 0 && i < hi) {
-                    break;
-                }
-                f.scalars[var as usize] = Scalar::Int(i);
-                run_tape(proc, &mut f, code, &mut stack, &mut idx);
+        let mut i = lo;
+        if frame.borrow().retyped {
+            while !done(i) {
+                frame.borrow_mut().scalars[var as usize] = Scalar::Int(i);
+                self.walk_block(proc, frame, stmts);
                 iters += 1;
                 i += st;
             }
+        } else {
+            let mut f = frame.borrow_mut();
+            let r = &mut self.regs;
+            code.enter(&f, r);
+            while !done(i) {
+                r[LOOP_VAR] = i as u64;
+                code.body(proc, &f, r);
+                iters += 1;
+                i += st;
+            }
+            code.leave(&mut f, r);
         }
-        self.stack = stack;
-        self.idx_buf = idx;
         if iters > 0 {
             let total = charge
                 .checked_mul(iters)
@@ -562,7 +605,10 @@ impl<'p> Interp<'p> {
             let passed = decl.param.and_then(|i| handles.get(i).cloned().flatten());
             let binding = match passed {
                 Some(handle) => match BoundArray::from_shape(handle, bounds) {
-                    Ok(b) => b,
+                    Ok(b) => {
+                        frame.retyped |= b.handle.storage.borrow().ty() != decl.ty;
+                        b
+                    }
                     Err(msg) => rt_err!(
                         "binding parameter `{}` of `{}`: {msg}",
                         decl.name,
@@ -936,6 +982,7 @@ impl FrameCell {
             scalars: Vec::new(),
             arrays: Vec::new(),
             hoisted: Vec::new(),
+            retyped: false,
         })
     }
 }
@@ -991,330 +1038,8 @@ pub(crate) fn try_intrinsic(op: Intr, name: &str, vals: &[Scalar]) -> Result<Sca
     })
 }
 
-/// Run one summarized block's flat postfix tape. Charging is the caller's
-/// one precomputed add, so no op counting happens here; the instruction
-/// order reproduces the tree-walker's evaluation order exactly, including
-/// where any runtime error fires. Array stores are only compiled into
-/// tapes when buffer-reuse detection is off (the detector compares
-/// against `now()`, which mid-block sits before the summarized charge).
-/// A free function (no `Interp` receiver) so loop drivers can hold the
-/// frame borrow and scratch buffers across iterations.
-fn run_tape(
-    proc: &LProc,
-    f: &mut LFrame,
-    code: &[Instr],
-    stack: &mut Vec<Scalar>,
-    idx: &mut Vec<i64>,
-) {
-    for ins in code {
-        match ins {
-            Instr::PushInt(v) => stack.push(Scalar::Int(*v)),
-            Instr::PushReal(v) => stack.push(Scalar::Real(*v)),
-            Instr::PushConst(v) => stack.push(*v),
-            Instr::PushVar(slot) => stack.push(f.scalar(proc, *slot)),
-            Instr::PushHoisted(slot) => stack.push(f.hoisted[*slot as usize]),
-            Instr::ExpectIdx => {
-                let v = stack
-                    .pop()
-                    .expect("tape balance")
-                    .expect_int("array subscript");
-                stack.push(Scalar::Int(v));
-            }
-            Instr::PushIdxVar(slot) => {
-                let v = f.scalar(proc, *slot).expect_int("array subscript");
-                stack.push(Scalar::Int(v));
-            }
-            Instr::Unary(op) => {
-                let v = stack.pop().expect("tape balance");
-                stack.push(match op {
-                    UnOp::Neg => match v {
-                        Scalar::Int(x) => Scalar::Int(-x),
-                        Scalar::Real(x) => Scalar::Real(-x),
-                    },
-                    UnOp::Not => Scalar::Int(i64::from(!v.is_true())),
-                });
-            }
-            Instr::Binary(op) => {
-                let b = stack.pop().expect("tape balance");
-                let a = stack.pop().expect("tape balance");
-                stack.push(eval_binop(*op, a, b));
-            }
-            Instr::BinRhsVar { op, slot } => {
-                let a = stack.pop().expect("tape balance");
-                let b = f.scalar(proc, *slot);
-                stack.push(eval_binop(*op, a, b));
-            }
-            Instr::BinRhsConst { op, v } => {
-                let a = stack.pop().expect("tape balance");
-                stack.push(eval_binop(*op, a, *v));
-            }
-            Instr::BinRhsHoisted { op, slot } => {
-                let a = stack.pop().expect("tape balance");
-                let b = f.hoisted[*slot as usize];
-                stack.push(eval_binop(*op, a, b));
-            }
-            Instr::Intrinsic { op, argc, name } => {
-                let base = stack.len() - *argc as usize;
-                let r = match try_intrinsic(*op, name, &stack[base..]) {
-                    Ok(v) => v,
-                    Err(msg) => rt_err!("{msg}"),
-                };
-                stack.truncate(base);
-                stack.push(r);
-            }
-            Instr::LoadArray { slot, argc, name } => {
-                let base = stack.len() - *argc as usize;
-                idx.clear();
-                idx.extend(stack[base..].iter().map(|v| match v {
-                    Scalar::Int(i) => *i,
-                    Scalar::Real(_) => unreachable!("ExpectIdx converted"),
-                }));
-                stack.truncate(base);
-                match f.array(*slot).get(name, idx) {
-                    Ok(v) => stack.push(v),
-                    Err(be) => rt_err!("{be}"),
-                }
-            }
-            Instr::StoreScalar { slot, ty } => {
-                let v = stack.pop().expect("tape balance");
-                f.scalars[*slot as usize] = v.convert_to(*ty);
-            }
-            Instr::StoreArray { slot, argc, name } => {
-                let v = stack.pop().expect("tape balance");
-                let base = stack.len() - *argc as usize;
-                idx.clear();
-                idx.extend(stack[base..].iter().map(|v| match v {
-                    Scalar::Int(i) => *i,
-                    Scalar::Real(_) => unreachable!("ExpectIdx converted"),
-                }));
-                stack.truncate(base);
-                if let Err(be) = f.array(*slot).set(name, idx, v) {
-                    rt_err!("{be}");
-                }
-            }
-            Instr::SetVar { slot, v } => {
-                f.scalars[*slot as usize] = Scalar::Int(*v);
-            }
-            Instr::ChainScalar {
-                dst,
-                ty,
-                first,
-                rest,
-                mono,
-            } => {
-                let v = eval_chain_mono(proc, f, first, rest, *mono);
-                f.scalars[*dst as usize] = v.convert_to(*ty);
-            }
-            Instr::ChainArray {
-                slot,
-                name,
-                idxs,
-                first,
-                rest,
-                mono,
-            } => {
-                // Indices first, value second — `eval_indices` order.
-                let mut flat = [0i64; 4];
-                let rank = idxs.len();
-                debug_assert!(rank <= 4, "chains cover rank <= 4 stores");
-                for (d, o) in idxs.iter().enumerate() {
-                    flat[d] = fetch_operand(proc, f, o).expect_int("array subscript");
-                }
-                let v = eval_chain_mono(proc, f, first, rest, *mono);
-                if let Err(be) = f.array(*slot).set(name, &flat[..rank], v) {
-                    rt_err!("{be}");
-                }
-            }
-            Instr::ErrNotArray { name } => {
-                rt_err!("`{name}` is not an array in this scope")
-            }
-        }
-    }
-    debug_assert!(stack.is_empty(), "tape leaves a balanced stack");
-}
-
-/// Fetch one chain operand — the lean recursive mirror of `eval`: same
-/// evaluation order, same runtime errors, no op counting (the block's
-/// charge is precomputed), no shared buffers (each load level resolves
-/// its subscripts into its own fixed array).
-fn fetch_operand(proc: &LProc, f: &LFrame, o: &Operand) -> Scalar {
-    match o {
-        Operand::Const(v) => *v,
-        Operand::Var(slot) => f.scalar(proc, *slot),
-        Operand::Hoisted(slot) => f.hoisted[*slot as usize],
-        Operand::Load { slot, idxs, name } => {
-            let mut flat = [0i64; 8];
-            for (d, io) in idxs.iter().enumerate() {
-                flat[d] = fetch_operand(proc, f, io).expect_int("array subscript");
-            }
-            match f.array(*slot).get(name, &flat[..idxs.len()]) {
-                Ok(v) => v,
-                Err(be) => rt_err!("{be}"),
-            }
-        }
-        Operand::LoadErr { idxs, name } => {
-            for io in idxs.iter() {
-                fetch_operand(proc, f, io).expect_int("array subscript");
-            }
-            rt_err!("`{name}` is not an array in this scope")
-        }
-        Operand::Un { op, operand } => {
-            let v = fetch_operand(proc, f, operand);
-            match op {
-                UnOp::Neg => match v {
-                    Scalar::Int(x) => Scalar::Int(-x),
-                    Scalar::Real(x) => Scalar::Real(-x),
-                },
-                UnOp::Not => Scalar::Int(i64::from(!v.is_true())),
-            }
-        }
-        Operand::Bin { op, a, b } => {
-            let x = fetch_operand(proc, f, a);
-            let y = fetch_operand(proc, f, b);
-            eval_binop(*op, x, y)
-        }
-        Operand::Intr { op, name, args } => {
-            let mut vals = [Scalar::Int(0); 8];
-            for (i, a) in args.iter().enumerate() {
-                vals[i] = fetch_operand(proc, f, a);
-            }
-            match try_intrinsic(*op, name, &vals[..args.len()]) {
-                Ok(v) => v,
-                Err(msg) => rt_err!("{msg}"),
-            }
-        }
-    }
-}
-
-/// Evaluate a chain: `first`, then each (op, operand) left to right — the
-/// tree-walker's exact visit order for a left-leaning binary chain.
-#[inline(always)]
-fn eval_chain(proc: &LProc, f: &LFrame, first: &Operand, rest: &[(BinOp, Operand)]) -> Scalar {
-    let mut acc = fetch_operand(proc, f, first);
-    for (op, o) in rest {
-        let b = fetch_operand(proc, f, o);
-        acc = eval_binop(*op, acc, b);
-    }
-    acc
-}
-
-/// Dispatch on the chain's static monomorphism verdict
-/// ([`crate::typeck`]). The typed loops replicate `eval_binop`'s
-/// monomorphic arms bit-for-bit; if a fetched tag ever contradicts the
-/// static verdict they fall back to the general evaluator (operand
-/// fetching is pure, so re-evaluating is safe), making a wrong verdict a
-/// performance bug at worst, never a correctness bug.
-#[inline(always)]
-fn eval_chain_mono(
-    proc: &LProc,
-    f: &LFrame,
-    first: &Operand,
-    rest: &[(BinOp, Operand)],
-    mono: ChainTy,
-) -> Scalar {
-    match mono {
-        ChainTy::Dyn => eval_chain(proc, f, first, rest),
-        ChainTy::Real => eval_chain_real(proc, f, first, rest),
-        ChainTy::Int => eval_chain_int(proc, f, first, rest),
-    }
-}
-
-/// Real-accumulator chain: the verdict guarantees the first operand is
-/// real and every operator is `+ - * /`, so after each step the
-/// accumulator stays real and `eval_binop` would take the
-/// `(Real, Real)`/`(Real, Int)` arms — exactly `acc op b.as_real()`.
-#[inline(always)]
-fn eval_chain_real(proc: &LProc, f: &LFrame, first: &Operand, rest: &[(BinOp, Operand)]) -> Scalar {
-    let Scalar::Real(mut acc) = fetch_operand(proc, f, first) else {
-        return eval_chain(proc, f, first, rest);
-    };
-    for (op, o) in rest {
-        let b = fetch_operand(proc, f, o).as_real();
-        acc = match op {
-            BinOp::Add => acc + b,
-            BinOp::Sub => acc - b,
-            BinOp::Mul => acc * b,
-            BinOp::Div => acc / b,
-            _ => unreachable!("Real verdicts carry only + - * / (typeck::chain_mono)"),
-        };
-    }
-    Scalar::Real(acc)
-}
-
-/// Integer-accumulator chain: the verdict guarantees every operand is an
-/// integer and every operator is `+ - *` — `eval_binop`'s wrapping
-/// `(Int, Int)` arms, which cannot error.
-#[inline(always)]
-fn eval_chain_int(proc: &LProc, f: &LFrame, first: &Operand, rest: &[(BinOp, Operand)]) -> Scalar {
-    let Scalar::Int(mut acc) = fetch_operand(proc, f, first) else {
-        return eval_chain(proc, f, first, rest);
-    };
-    for (op, o) in rest {
-        let Scalar::Int(b) = fetch_operand(proc, f, o) else {
-            return eval_chain(proc, f, first, rest);
-        };
-        acc = match op {
-            BinOp::Add => acc.wrapping_add(b),
-            BinOp::Sub => acc.wrapping_sub(b),
-            BinOp::Mul => acc.wrapping_mul(b),
-            _ => unreachable!("Int verdicts carry only + - * (typeck::chain_mono)"),
-        };
-    }
-    Scalar::Int(acc)
-}
-
-/// The hot arithmetic cases, inlined — exactly [`try_binop`]'s semantics
-/// for the operators that cannot error (`+ - *` everywhere, `/` once any
-/// operand is real); everything else falls through to the shared kernel.
-#[inline(always)]
+#[inline]
 fn eval_binop(op: BinOp, a: Scalar, b: Scalar) -> Scalar {
-    use BinOp::*;
-    match (a, b) {
-        (Scalar::Real(x), Scalar::Real(y)) => match op {
-            Add => return Scalar::Real(x + y),
-            Sub => return Scalar::Real(x - y),
-            Mul => return Scalar::Real(x * y),
-            Div => return Scalar::Real(x / y),
-            Lt => return Scalar::Int(i64::from(x < y)),
-            Le => return Scalar::Int(i64::from(x <= y)),
-            Gt => return Scalar::Int(i64::from(x > y)),
-            Ge => return Scalar::Int(i64::from(x >= y)),
-            Eq => return Scalar::Int(i64::from(x == y)),
-            Ne => return Scalar::Int(i64::from(x != y)),
-            _ => {}
-        },
-        (Scalar::Int(x), Scalar::Int(y)) => match op {
-            Add => return Scalar::Int(x.wrapping_add(y)),
-            Sub => return Scalar::Int(x.wrapping_sub(y)),
-            Mul => return Scalar::Int(x.wrapping_mul(y)),
-            Lt => return Scalar::Int(i64::from(x < y)),
-            Le => return Scalar::Int(i64::from(x <= y)),
-            Gt => return Scalar::Int(i64::from(x > y)),
-            Ge => return Scalar::Int(i64::from(x >= y)),
-            Eq => return Scalar::Int(i64::from(x == y)),
-            Ne => return Scalar::Int(i64::from(x != y)),
-            _ => {}
-        },
-        (Scalar::Int(x), Scalar::Real(y)) => match op {
-            Add => return Scalar::Real(x as f64 + y),
-            Sub => return Scalar::Real(x as f64 - y),
-            Mul => return Scalar::Real(x as f64 * y),
-            Div => return Scalar::Real(x as f64 / y),
-            _ => {}
-        },
-        (Scalar::Real(x), Scalar::Int(y)) => match op {
-            Add => return Scalar::Real(x + y as f64),
-            Sub => return Scalar::Real(x - y as f64),
-            Mul => return Scalar::Real(x * y as f64),
-            Div => return Scalar::Real(x / y as f64),
-            _ => {}
-        },
-    }
-    eval_binop_cold(op, a, b)
-}
-
-#[cold]
-fn eval_binop_cold(op: BinOp, a: Scalar, b: Scalar) -> Scalar {
     match try_binop(op, a, b) {
         Ok(v) => v,
         Err(msg) => rt_err!("{msg}"),
@@ -1326,72 +1051,53 @@ fn eval_binop_cold(op: BinOp, a: Scalar, b: Scalar) -> Scalar {
 /// message (`interp:` prefix added by the executor); the folder simply
 /// declines to fold erroring cases, leaving the error to fire at run time
 /// exactly as before.
+#[inline]
 pub(crate) fn try_binop(op: BinOp, a: Scalar, b: Scalar) -> Result<Scalar, String> {
     use BinOp::*;
-    let both_int = matches!((a, b), (Scalar::Int(_), Scalar::Int(_)));
-    Ok(match op {
-        Add | Sub | Mul | Div | Pow => {
-            if both_int {
-                let (x, y) = (a.truncate_to_int(), b.truncate_to_int());
-                match op {
-                    Add => Scalar::Int(x.wrapping_add(y)),
-                    Sub => Scalar::Int(x.wrapping_sub(y)),
-                    Mul => Scalar::Int(x.wrapping_mul(y)),
-                    Div => {
-                        if y == 0 {
-                            return Err("integer division by zero".into());
-                        }
-                        Scalar::Int(x.wrapping_div(y))
-                    }
-                    Pow => Scalar::Int(try_int_pow(x, y)?),
-                    _ => unreachable!(),
-                }
-            } else {
-                let (x, y) = (a.as_real(), b.as_real());
-                Scalar::Real(match op {
-                    Add => x + y,
-                    Sub => x - y,
-                    Mul => x * y,
-                    Div => x / y,
-                    Pow => x.powf(y),
-                    _ => unreachable!(),
-                })
+    use Scalar::{Int, Real};
+    let flag = |r: bool| Int(i64::from(r));
+    Ok(match (a, b) {
+        (Int(x), Int(y)) => match op {
+            Add => Int(x.wrapping_add(y)),
+            Sub => Int(x.wrapping_sub(y)),
+            Mul => Int(x.wrapping_mul(y)),
+            Div if y == 0 => return Err("integer division by zero".into()),
+            Div => Int(x.wrapping_div(y)),
+            Pow => Int(try_int_pow(x, y)?),
+            Eq => flag(x == y),
+            Ne => flag(x != y),
+            Lt => flag(x < y),
+            Le => flag(x <= y),
+            Gt => flag(x > y),
+            Ge => flag(x >= y),
+            And => flag(x != 0 && y != 0),
+            Or => flag(x != 0 || y != 0),
+        },
+        // Any real operand promotes the other.
+        _ => {
+            let (x, y) = (a.as_real(), b.as_real());
+            match op {
+                Add => Real(x + y),
+                Sub => Real(x - y),
+                Mul => Real(x * y),
+                Div => Real(x / y),
+                Pow => Real(x.powf(y)),
+                Eq => flag(x == y),
+                Ne => flag(x != y),
+                Lt => flag(x < y),
+                Le => flag(x <= y),
+                Gt => flag(x > y),
+                Ge => flag(x >= y),
+                And => flag(a.is_true() && b.is_true()),
+                Or => flag(a.is_true() || b.is_true()),
             }
         }
-        Eq | Ne | Lt | Le | Gt | Ge => {
-            let r = if both_int {
-                let (x, y) = (a.truncate_to_int(), b.truncate_to_int());
-                match op {
-                    Eq => x == y,
-                    Ne => x != y,
-                    Lt => x < y,
-                    Le => x <= y,
-                    Gt => x > y,
-                    Ge => x >= y,
-                    _ => unreachable!(),
-                }
-            } else {
-                let (x, y) = (a.as_real(), b.as_real());
-                match op {
-                    Eq => x == y,
-                    Ne => x != y,
-                    Lt => x < y,
-                    Le => x <= y,
-                    Gt => x > y,
-                    Ge => x >= y,
-                    _ => unreachable!(),
-                }
-            };
-            Scalar::Int(i64::from(r))
-        }
-        And => Scalar::Int(i64::from(a.is_true() && b.is_true())),
-        Or => Scalar::Int(i64::from(a.is_true() || b.is_true())),
     })
 }
 
 /// Fortran integer exponentiation: negative exponents truncate to 0 unless
 /// the base is ±1.
-fn try_int_pow(base: i64, exp: i64) -> Result<i64, String> {
+pub(crate) fn try_int_pow(base: i64, exp: i64) -> Result<i64, String> {
     if exp >= 0 {
         let mut acc: i64 = 1;
         for _ in 0..exp {

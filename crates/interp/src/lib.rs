@@ -24,6 +24,7 @@ mod exec;
 mod lower;
 mod machine;
 mod opt;
+mod reg;
 pub mod run;
 pub mod typeck;
 pub mod value;

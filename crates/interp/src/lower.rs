@@ -14,6 +14,7 @@
 //! are therefore byte-identical to the pre-lowering interpreter — pinned by
 //! the golden/differential suites.
 
+use crate::reg::RegCode;
 use crate::value::Scalar;
 use fir::ast::*;
 use fir::span::Span;
@@ -246,21 +247,21 @@ pub(crate) enum LStmt {
     /// branch, call, or loop) whose cost is charged in one precomputed add
     /// instead of per statement ([`crate::opt`]). `charge` is the sum of
     /// the per-statement rounded charges the tree-walker would have made;
-    /// `code` is the flat postfix compilation of `stmts` the executor
-    /// actually runs (same evaluation order, no recursion).
+    /// `code` is the register-code compilation of `stmts` the executor
+    /// runs (same evaluation order, statically typed — [`crate::reg`]).
     Block {
-        /// The statements the tape was compiled from — the executor runs
-        /// `code`, but the structured form is what the opt unit tests (and
-        /// anyone debugging a tape) inspect.
-        #[allow(dead_code)]
+        /// The statements `code` was compiled from: what the tree-walker
+        /// runs instead when a dummy array aliases storage of another
+        /// element type, and what the opt unit tests inspect.
         stmts: Vec<LStmt>,
-        code: Vec<Instr>,
+        code: RegCode,
         charge: u64,
     },
     /// An unrolled loop's per-iteration head ([`crate::opt`]): store the
     /// loop variable and account the iteration's bookkeeping (plus, on the
     /// first iteration, the loop's bound-evaluation charge) inside the
-    /// enclosing block's summarized total. Never appears outside a block.
+    /// enclosing block's summarized total — or, left outside a block, by
+    /// one exact add of its own.
     SetVar { slot: u32, v: i64, charge: u64 },
     If {
         cond: LExpr,
@@ -278,150 +279,6 @@ pub(crate) enum LStmt {
         op: Builtin,
         name: String,
         args: Vec<LArg>,
-    },
-}
-
-/// One instruction of a summarized block's flat postfix tape
-/// ([`crate::opt`] compiles, the executor runs). Evaluation order — and
-/// therefore the order and text of any runtime error — is exactly the
-/// tree-walker's post-order walk; costs are not tracked here because the
-/// block's total charge is precomputed.
-#[derive(Debug, Clone)]
-pub(crate) enum Instr {
-    PushInt(i64),
-    PushReal(f64),
-    PushConst(Scalar),
-    PushVar(u32),
-    PushHoisted(u32),
-    /// Convert the just-pushed subscript to an integer (the tree-walker's
-    /// `expect_int("array subscript")`, applied per index as evaluated).
-    ExpectIdx,
-    Unary(UnOp),
-    Binary(BinOp),
-    /// Peephole fusions of a leaf push followed by `Binary` (the leaf is
-    /// the right operand) or by `ExpectIdx` — one dispatch instead of two.
-    BinRhsVar {
-        op: BinOp,
-        slot: u32,
-    },
-    BinRhsConst {
-        op: BinOp,
-        v: Scalar,
-    },
-    BinRhsHoisted {
-        op: BinOp,
-        slot: u32,
-    },
-    PushIdxVar(u32),
-    Intrinsic {
-        op: Intr,
-        argc: u16,
-        name: Box<str>,
-    },
-    /// Pop `argc` integer indices, load the element.
-    LoadArray {
-        slot: u32,
-        argc: u16,
-        name: Box<str>,
-    },
-    /// Pop the value, convert, store into a scalar slot.
-    StoreScalar {
-        slot: u32,
-        ty: ScalarType,
-    },
-    /// Pop the value, then `argc` integer indices, store the element.
-    StoreArray {
-        slot: u32,
-        argc: u16,
-        name: Box<str>,
-    },
-    /// Store the unrolled loop variable ([`LStmt::SetVar`]).
-    SetVar {
-        slot: u32,
-        v: i64,
-    },
-    /// A whole `x = a op b op c …` assignment as ONE instruction: a
-    /// left-leaning binary chain whose right operands are all leaves (or
-    /// single element loads), evaluated by an internal well-predicted
-    /// loop instead of one dispatched instruction per node. Evaluation
-    /// order is the tree-walker's exactly: first, then each (op, operand)
-    /// left to right. `mono` is the static type-inference verdict
-    /// ([`crate::typeck`]): a monomorphic chain runs a typed accumulator
-    /// loop that skips the per-operation value-tag dispatch.
-    ChainScalar {
-        dst: u32,
-        ty: ScalarType,
-        first: Operand,
-        rest: Box<[(BinOp, Operand)]>,
-        mono: ChainTy,
-    },
-    /// `a(i, j, …) = chain` as one instruction; `idxs` (all leaves)
-    /// evaluate first, like the tree-walker's `eval_indices`.
-    ChainArray {
-        slot: u32,
-        name: Box<str>,
-        idxs: Box<[Operand]>,
-        first: Operand,
-        rest: Box<[(BinOp, Operand)]>,
-        mono: ChainTy,
-    },
-    /// The "`name` is not an array in this scope" runtime error, after its
-    /// operands evaluated (parity with the tree-walker's check order).
-    ErrNotArray {
-        name: Box<str>,
-    },
-}
-
-/// Static monomorphism verdict for one chain instruction, computed by
-/// [`crate::typeck`] from the slot-level type lattice
-/// ([`analyzer::types`]). `Dyn` keeps the general tag-dispatching
-/// evaluator; `Int`/`Real` run a typed accumulator loop whose arithmetic
-/// is bit-for-bit the corresponding `eval_binop` arms — virtual times are
-/// unaffected either way because block charges are precomputed
-/// (DESIGN.md §3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum ChainTy {
-    Dyn,
-    Int,
-    Real,
-}
-
-/// A chain-instruction operand: an expression evaluated by the lean
-/// recursive fetcher (`exec::fetch_operand`) — a 1:1 image of [`LExpr`]
-/// minus names/weights, so evaluation order and every runtime error are
-/// the tree-walker's exactly, without op counting or `Option` frames.
-#[derive(Debug, Clone)]
-pub(crate) enum Operand {
-    Const(Scalar),
-    Var(u32),
-    Hoisted(u32),
-    /// One array element; subscripts convert to integers as evaluated
-    /// (`eval_indices` order). Rank ≤ 8 enforced at compile time.
-    Load {
-        slot: u32,
-        idxs: Box<[Operand]>,
-        name: Box<str>,
-    },
-    /// `ArrayRef` whose name is not an array here: evaluate the
-    /// subscripts, then raise the tree-walker's error.
-    LoadErr {
-        idxs: Box<[Operand]>,
-        name: Box<str>,
-    },
-    Un {
-        op: UnOp,
-        operand: Box<Operand>,
-    },
-    Bin {
-        op: BinOp,
-        a: Box<Operand>,
-        b: Box<Operand>,
-    },
-    /// Intrinsic call; arity ≤ 8 enforced at compile time.
-    Intr {
-        op: Intr,
-        name: Box<str>,
-        args: Box<[Operand]>,
     },
 }
 

@@ -202,11 +202,12 @@ impl<'p> Machine<'p> {
                     hoists,
                     comm,
                 );
-                if let (Some(charge), [LStmt::Block { code, .. }]) =
+                if let (Some(charge), [LStmt::Block { stmts, code, .. }]) =
                     (*iter_charge, body.as_slice())
                 {
-                    self.interp
-                        .run_summarized_do(proc, &frame, *var, code, lo, hi, st, charge, comm);
+                    self.interp.run_summarized_do(
+                        proc, &frame, *var, stmts, code, lo, hi, st, charge, comm,
+                    );
                 } else {
                     self.stack.push(Cont::Loop {
                         proc,

@@ -34,6 +34,9 @@
 //! Blocks never span communication, branches, calls, or loops — those
 //! statements end a block, both because their cost is data-dependent and
 //! because messages must depart/arrive at exactly the historical clock.
+//! Within a straight-line run, a statement joins a block iff it compiles
+//! to register code ([`crate::reg`]), i.e. iff it types; one that does not
+//! ends the block and runs on the tree-walker with its own charge.
 //! Block formation is disabled entirely under tracing (merged `Compute`
 //! events would change the trace), and array stores are excluded from
 //! blocks under buffer-reuse detection (the detector reads `now()`
@@ -41,10 +44,9 @@
 
 use crate::cost::{CostModel, Options};
 use crate::exec::{try_binop, try_intrinsic};
-use crate::lower::{
-    ChainTy, Hoist, Instr, Intr, LArg, LCallArg, LExpr, LProgram, LSecDim, LSection, LStmt,
-    Operand,
-};
+use crate::lower::{Hoist, Intr, LArg, LCallArg, LExpr, LProgram, LSecDim, LSection, LStmt};
+use crate::reg::RegBuilder;
+use crate::typeck::{lexpr_ty, ProcTyEnv};
 use crate::value::Scalar;
 use clustersim::SimTime;
 use fir::ast::BinOp;
@@ -73,10 +75,8 @@ pub(crate) fn optimize(program: &mut LProgram, opts: &Options) {
         proc.hoist_slots = slots as usize;
 
         if !opts.trace {
-            form_blocks(&mut proc.body, opts);
-            if opts.typed_chains {
-                crate::typeck::annotate_proc(proc);
-            }
+            let mut env = ProcTyEnv::new(proc);
+            form_blocks(&mut proc.body, opts, &mut env, None);
         }
     }
 }
@@ -269,10 +269,10 @@ const UNROLL_MAX_STMTS: i64 = 96;
 /// [`LStmt::SetVar`] (the loop-variable store, carrying the iteration's
 /// bookkeeping charge — and, on the first, the loop's bound-evaluation
 /// charge) followed by a copy of the body with the loop variable
-/// substituted by a weight-1 constant. The expansion is always swallowed
-/// by block formation afterwards (every emitted statement is
-/// block-eligible), so the carried charges always land in a summarized
-/// total — which is why unrolling shares the `!opts.trace` gate.
+/// substituted by a weight-1 constant. Block formation afterwards swallows
+/// the expansion into summarized totals (a `SetVar` left outside a block
+/// adds its carried charge itself); merged charges would change a trace,
+/// which is why unrolling shares the `!opts.trace` gate.
 fn unroll_stmts(stmts: &mut Vec<LStmt>, allow_array: bool, cost: &CostModel) {
     for s in stmts.iter_mut() {
         match s {
@@ -658,16 +658,31 @@ fn stmt_charge(s: &LStmt, cost: &CostModel) -> u64 {
     SimTime::from_ns_f64(ops as f64 * cost.ns_per_op + cost.ns_per_stmt).as_ns()
 }
 
-/// Group maximal runs of straight-line assignments into [`LStmt::Block`]s
-/// with precomputed charges, and collapse whole-body blocks into the
-/// loop's one-add-per-iteration fast path.
-fn form_blocks(stmts: &mut Vec<LStmt>, opts: &Options) {
+/// Group maximal runs of straight-line assignments that compile to
+/// register code into [`LStmt::Block`]s with precomputed charges, and
+/// collapse whole-body blocks into the loop's one-add-per-iteration fast
+/// path. `loop_var` is the variable of the `do` whose body `stmts` is.
+fn form_blocks(
+    stmts: &mut Vec<LStmt>,
+    opts: &Options,
+    env: &mut ProcTyEnv,
+    loop_var: Option<u32>,
+) {
     for s in stmts.iter_mut() {
         match s {
             LStmt::Do {
-                body, iter_charge, ..
+                var,
+                body,
+                hoists,
+                iter_charge,
+                ..
             } => {
-                form_blocks(body, opts);
+                // Hoists evaluate at loop entry, before the body — type
+                // them first so the body's blocks can pin their slots.
+                for h in hoists.iter() {
+                    env.hoists[h.slot as usize] = lexpr_ty(&h.expr, env);
+                }
+                form_blocks(body, opts, env, Some(*var));
                 if let [LStmt::Block { charge, .. }] = body.as_slice() {
                     // Fold the loop's own increment/test bookkeeping into
                     // the per-iteration add.
@@ -680,8 +695,8 @@ fn form_blocks(stmts: &mut Vec<LStmt>, opts: &Options) {
                 else_body,
                 ..
             } => {
-                form_blocks(then_body, opts);
-                form_blocks(else_body, opts);
+                form_blocks(then_body, opts, env, None);
+                form_blocks(else_body, opts, env, None);
             }
             _ => {}
         }
@@ -692,283 +707,49 @@ fn form_blocks(stmts: &mut Vec<LStmt>, opts: &Options) {
     // detector compares array stores against `now()` mid-statement — so
     // array stores only join blocks when detection is off.
     let allow_array = !opts.detect_buffer_reuse;
-    let eligible = |s: &LStmt| match s {
+    let straight = |s: &LStmt| match s {
         LStmt::AssignScalar { .. } | LStmt::SetVar { .. } => true,
         LStmt::AssignArray { .. } => allow_array,
         _ => false,
     };
 
     let old = std::mem::take(stmts);
+    let mut builder = RegBuilder::new(env, loop_var);
     let mut run: Vec<LStmt> = Vec::new();
     for s in old {
-        if eligible(&s) {
+        if straight(&s) && builder.push_stmt(&s) {
+            run.push(s);
+            continue;
+        }
+        // The block ends here: `s` is not straight-line, or does not type,
+        // or the block has no registers left for it — in which case it
+        // starts the next block.
+        flush_run(&mut run, &mut builder, stmts, &opts.cost);
+        if straight(&s) && builder.push_stmt(&s) {
             run.push(s);
         } else {
-            flush_run(&mut run, stmts, &opts.cost);
             stmts.push(s);
         }
     }
-    flush_run(&mut run, stmts, &opts.cost);
+    flush_run(&mut run, &mut builder, stmts, &opts.cost);
 }
 
-fn flush_run(run: &mut Vec<LStmt>, out: &mut Vec<LStmt>, cost: &CostModel) {
+fn flush_run(
+    run: &mut Vec<LStmt>,
+    builder: &mut RegBuilder,
+    out: &mut Vec<LStmt>,
+    cost: &CostModel,
+) {
     if run.is_empty() {
         return;
     }
     let stmts = std::mem::take(run);
     let charge = stmts.iter().map(|s| stmt_charge(s, cost)).sum();
-    let code = compile_block(&stmts);
     out.push(LStmt::Block {
         stmts,
-        code,
+        code: builder.finish(),
         charge,
     });
-}
-
-// ---------------------------------------------------- tape compilation
-
-/// Compile a block's statements to the flat postfix tape the executor
-/// runs. Instruction order is exactly the tree-walker's evaluation order
-/// (indices left to right — each converted to an integer as soon as it is
-/// evaluated, like `eval_indices` — then values, then the store), so any
-/// runtime error fires at the same point with the same message.
-fn compile_block(stmts: &[LStmt]) -> Vec<Instr> {
-    let code = compile_block_unfused(stmts);
-    // Peephole: fuse a leaf push directly followed by the Binary that
-    // consumes it as its right operand, and leaf subscript conversions —
-    // pure dispatch-count reductions, bit-identical results.
-    let mut fused = Vec::with_capacity(code.len());
-    for ins in code {
-        match (fused.last(), &ins) {
-            (Some(Instr::PushVar(slot)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsVar {
-                    op: *op,
-                    slot: *slot,
-                };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushConst(v)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsConst { op: *op, v: *v };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushInt(v)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsConst {
-                    op: *op,
-                    v: Scalar::Int(*v),
-                };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushReal(v)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsConst {
-                    op: *op,
-                    v: Scalar::Real(*v),
-                };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushHoisted(slot)), Instr::Binary(op)) => {
-                let f = Instr::BinRhsHoisted {
-                    op: *op,
-                    slot: *slot,
-                };
-                fused.pop();
-                fused.push(f);
-            }
-            (Some(Instr::PushVar(slot)), Instr::ExpectIdx) => {
-                let f = Instr::PushIdxVar(*slot);
-                fused.pop();
-                fused.push(f);
-            }
-            _ => fused.push(ins),
-        }
-    }
-    fused
-}
-
-fn compile_block_unfused(stmts: &[LStmt]) -> Vec<Instr> {
-    let mut code = Vec::new();
-    for s in stmts {
-        match s {
-            LStmt::AssignScalar { slot, ty, value } => {
-                if let Some((first, rest)) = as_chain(value) {
-                    code.push(Instr::ChainScalar {
-                        dst: *slot,
-                        ty: *ty,
-                        first,
-                        rest: rest.into_boxed_slice(),
-                        mono: ChainTy::Dyn,
-                    });
-                    continue;
-                }
-                compile_expr(value, &mut code);
-                code.push(Instr::StoreScalar {
-                    slot: *slot,
-                    ty: *ty,
-                });
-            }
-            LStmt::AssignArray {
-                slot,
-                name,
-                indices,
-                value,
-            } => {
-                if let (Some(slot), true) = (slot, indices.len() <= 4) {
-                    let idxs: Option<Vec<Operand>> = indices.iter().map(as_operand).collect();
-                    if let (Some(idxs), Some((first, rest))) = (idxs, as_chain(value)) {
-                        code.push(Instr::ChainArray {
-                            slot: *slot,
-                            name: name.as_str().into(),
-                            idxs: idxs.into_boxed_slice(),
-                            first,
-                            rest: rest.into_boxed_slice(),
-                            mono: ChainTy::Dyn,
-                        });
-                        continue;
-                    }
-                }
-                for i in indices {
-                    compile_expr(i, &mut code);
-                    code.push(Instr::ExpectIdx);
-                }
-                compile_expr(value, &mut code);
-                match slot {
-                    Some(slot) => code.push(Instr::StoreArray {
-                        slot: *slot,
-                        argc: indices.len() as u16,
-                        name: name.as_str().into(),
-                    }),
-                    // The tree-walker evaluates indices and value, charges,
-                    // *then* reports the unknown-array error.
-                    None => code.push(Instr::ErrNotArray {
-                        name: name.as_str().into(),
-                    }),
-                }
-            }
-            LStmt::SetVar { slot, v, .. } => code.push(Instr::SetVar { slot: *slot, v: *v }),
-            other => unreachable!("non-straight-line statement in a block: {other:?}"),
-        }
-    }
-    code
-}
-
-/// Convert an expression into a chain operand — total except for the
-/// shapes the fetcher's fixed buffers cannot hold (array rank > 8,
-/// intrinsic arity > 8), which keep the general stack path.
-fn as_operand(e: &LExpr) -> Option<Operand> {
-    Some(match e {
-        LExpr::Int(v) => Operand::Const(Scalar::Int(*v)),
-        LExpr::Real(v) => Operand::Const(Scalar::Real(*v)),
-        LExpr::Const { v, .. } => Operand::Const(*v),
-        LExpr::Var(slot) => Operand::Var(*slot),
-        LExpr::Hoisted { slot, .. } => Operand::Hoisted(*slot),
-        LExpr::ArrayRef {
-            slot,
-            name,
-            indices,
-        } => {
-            if indices.len() > 8 {
-                return None;
-            }
-            let idxs: Option<Vec<Operand>> = indices.iter().map(as_operand).collect();
-            let idxs = idxs?.into_boxed_slice();
-            let name = name.as_str().into();
-            match slot {
-                Some(slot) => Operand::Load {
-                    slot: *slot,
-                    idxs,
-                    name,
-                },
-                None => Operand::LoadErr { idxs, name },
-            }
-        }
-        LExpr::Unary { op, operand } => Operand::Un {
-            op: *op,
-            operand: Box::new(as_operand(operand)?),
-        },
-        LExpr::Binary { op, lhs, rhs } => Operand::Bin {
-            op: *op,
-            a: Box::new(as_operand(lhs)?),
-            b: Box::new(as_operand(rhs)?),
-        },
-        LExpr::Intrinsic { op, name, args } => {
-            if args.len() > 8 {
-                return None;
-            }
-            let cargs: Option<Vec<Operand>> = args.iter().map(as_operand).collect();
-            Operand::Intr {
-                op: *op,
-                name: name.as_str().into(),
-                args: cargs?.into_boxed_slice(),
-            }
-        }
-    })
-}
-
-/// Decompose the expression's left-leaning binary spine:
-/// `((a op1 b) op2 c)` → `(a, [(op1, b), (op2, c)])`. Evaluating `a` then
-/// each (op, operand) left to right is exactly the tree-walker's
-/// post-order visit; the flat spine turns the commonest shape — an
-/// accumulation chain — into a well-predicted internal loop.
-fn as_chain(e: &LExpr) -> Option<(Operand, Vec<(BinOp, Operand)>)> {
-    if let LExpr::Binary { op, lhs, rhs } = e {
-        let rhs = as_operand(rhs)?;
-        let (first, mut rest) = as_chain(lhs)?;
-        rest.push((*op, rhs));
-        return Some((first, rest));
-    }
-    Some((as_operand(e)?, Vec::new()))
-}
-
-fn compile_expr(e: &LExpr, code: &mut Vec<Instr>) {
-    match e {
-        LExpr::Int(v) => code.push(Instr::PushInt(*v)),
-        LExpr::Real(v) => code.push(Instr::PushReal(*v)),
-        LExpr::Const { v, .. } => code.push(Instr::PushConst(*v)),
-        LExpr::Var(slot) => code.push(Instr::PushVar(*slot)),
-        LExpr::Hoisted { slot, .. } => code.push(Instr::PushHoisted(*slot)),
-        LExpr::ArrayRef {
-            slot,
-            name,
-            indices,
-        } => {
-            for i in indices {
-                compile_expr(i, code);
-                code.push(Instr::ExpectIdx);
-            }
-            match slot {
-                Some(slot) => code.push(Instr::LoadArray {
-                    slot: *slot,
-                    argc: indices.len() as u16,
-                    name: name.as_str().into(),
-                }),
-                None => code.push(Instr::ErrNotArray {
-                    name: name.as_str().into(),
-                }),
-            }
-        }
-        LExpr::Intrinsic { op, name, args } => {
-            for a in args {
-                compile_expr(a, code);
-            }
-            code.push(Instr::Intrinsic {
-                op: *op,
-                argc: args.len() as u16,
-                name: name.as_str().into(),
-            });
-        }
-        LExpr::Unary { op, operand } => {
-            compile_expr(operand, code);
-            code.push(Instr::Unary(*op));
-        }
-        LExpr::Binary { op, lhs, rhs } => {
-            compile_expr(lhs, code);
-            compile_expr(rhs, code);
-            code.push(Instr::Binary(*op));
-        }
-    }
 }
 
 #[cfg(test)]

@@ -82,19 +82,19 @@ pub fn run_program_opts(
 }
 
 /// An immutable compiled program: validated, lowered to frame slots, and
-/// (per the compile-time [`Options`]) optimized and type-specialized. The
-/// payload is `Arc`-shared, so cloning a handle is cheap and a single
-/// compilation can back every rank of every scenario that shares the
-/// same compilation inputs — the cross-scenario hop of the same sharing
+/// (per the compile-time [`Options`]) optimized. The payload is
+/// `Arc`-shared, so cloning a handle is cheap and a single compilation
+/// can back every rank of every scenario that shares the same
+/// compilation inputs — the cross-scenario hop of the same sharing
 /// the ranks of one run already relied on. Handles are `Send + Sync`;
 /// executing one never mutates it.
 #[derive(Clone)]
 pub struct CompiledProgram {
     lowered: Arc<LProgram>,
     /// The options the program was compiled under. Cost constants and the
-    /// optimize/typed-chain switches are *baked in* at compile time (block
-    /// charges are precomputed), so runs reuse the same options rather
-    /// than accepting fresh ones that could disagree with the baked state.
+    /// optimize switch are *baked in* at compile time (block charges are
+    /// precomputed), so runs reuse the same options rather than accepting
+    /// fresh ones that could disagree with the baked state.
     opts: Options,
 }
 
@@ -116,7 +116,12 @@ impl std::fmt::Debug for CompiledProgram {
 /// compiled form.
 pub fn compile_program(program: &Program, opts: &Options) -> Result<CompiledProgram, RunError> {
     fir::validate::validate(program).map_err(RunError::Invalid)?;
+    Ok(compile_unchecked(program, opts))
+}
 
+/// Compilation proper, of a program the caller vouches for (the unit tests
+/// of the executor's validation-gap paths pass unvalidated ones).
+pub(crate) fn compile_unchecked(program: &Program, opts: &Options) -> CompiledProgram {
     // Resolve names to frame slots once; all ranks (and, via the sweep
     // compilation cache, all scenarios of a grid sharing this shape)
     // share the lowered program read-only.
@@ -127,10 +132,10 @@ pub fn compile_program(program: &Program, opts: &Options) -> Result<CompiledProg
         // `opt`'s module docs and DESIGN.md §S3).
         crate::opt::optimize(&mut lowered, opts);
     }
-    Ok(CompiledProgram {
+    CompiledProgram {
         lowered: Arc::new(lowered),
         opts: opts.clone(),
-    })
+    }
 }
 
 impl CompiledProgram {

@@ -1,5 +1,5 @@
-//! Static type inference over the lowered program, feeding the typed
-//! chain instructions ([`crate::lower::ChainTy`]).
+//! Static type inference over the lowered program, feeding the register
+//! compiler ([`crate::reg`]).
 //!
 //! Every storage location in mini-Fortran is monomorphic by construction:
 //! every store converts the value to the slot's declared (or implicit)
@@ -7,19 +7,17 @@
 //! expression. So "inference" is seeding slot types from
 //! `scalar_defaults`/`array_decls` and computing expression types
 //! bottom-up with the promotion rules in [`analyzer::types`] — which
-//! mirror `exec::try_binop`/`try_intrinsic` exactly. A chain instruction
-//! whose accumulator provably keeps one runtime tag is marked `Int` or
-//! `Real` and the executor runs a typed accumulator loop instead of
-//! per-operation tag dispatch; anything unprovable stays `Dyn`.
+//! mirror `exec::try_binop`/`try_intrinsic` exactly. The register compiler
+//! picks one monomorphic op per expression node from these types; a
+//! statement it cannot type stays on the tree-walker.
 //!
-//! The verdicts are conservative *and* double-checked: the typed loops in
-//! `exec` still inspect the fetched tags and fall back to the generic
-//! evaluator on any mismatch (re-fetching is pure), so a wrong verdict
-//! could only cost speed, never change a result.
+//! One thing the declarations cannot promise: a dummy array's declared
+//! element type need not be its actual's storage type (sequence
+//! association). `exec::allocate_locals` checks that when it binds, and an
+//! activation where they differ runs its blocks on the tree-walker.
 
-use crate::lower::{ChainTy, Instr, Intr, LExpr, LProc, LProgram, LStmt, Operand};
+use crate::lower::{LExpr, LProc, LProgram, LStmt};
 use analyzer::types::{binop_ty, intrinsic_ty, unop_ty, ProcTypes, Ty, TypeReport};
-use fir::ast::BinOp;
 
 /// Owned slot-type tables for one procedure.
 pub(crate) struct ProcTyEnv {
@@ -27,8 +25,10 @@ pub(crate) struct ProcTyEnv {
     pub scalars: Vec<Ty>,
     /// Array slot -> element type (from the declarations).
     pub arrays: Vec<Ty>,
+    /// Array slot -> declared rank.
+    pub ranks: Vec<usize>,
     /// Hoist slot -> type of the cached expression, filled in statement
-    /// order as the annotation walk encounters each loop's hoists.
+    /// order as block formation encounters each loop's hoists.
     pub hoists: Vec<Ty>,
 }
 
@@ -40,33 +40,18 @@ impl ProcTyEnv {
             .map(|s| Ty::of_scalar_type(s.ty()))
             .collect();
         let mut arrays = vec![Ty::Unknown; proc.array_names.len()];
+        let mut ranks = vec![0; proc.array_names.len()];
         for d in &proc.array_decls {
             arrays[d.slot as usize] = Ty::of_scalar_type(d.ty);
+            ranks[d.slot as usize] = d.dims.len();
         }
         ProcTyEnv {
             scalars,
             arrays,
+            ranks,
             hoists: vec![Ty::Unknown; proc.hoist_slots],
         }
     }
-}
-
-fn intr_rule_name(op: Intr) -> Option<&'static str> {
-    Some(match op {
-        Intr::Mod => "mod",
-        Intr::Min => "min",
-        Intr::Max => "max",
-        Intr::Abs => "abs",
-        Intr::Sqrt => "sqrt",
-        Intr::Sin => "sin",
-        Intr::Cos => "cos",
-        Intr::Exp => "exp",
-        Intr::Log => "log",
-        Intr::Floor => "floor",
-        Intr::Int => "int",
-        Intr::Real => "real",
-        Intr::Unknown => return None,
-    })
 }
 
 pub(crate) fn lexpr_ty(e: &LExpr, env: &ProcTyEnv) -> Ty {
@@ -80,13 +65,12 @@ pub(crate) fn lexpr_ty(e: &LExpr, env: &ProcTyEnv) -> Ty {
             Some(s) => env.arrays[*s as usize].clone(),
             None => Ty::Unknown,
         },
-        LExpr::Intrinsic { op, args, .. } => match intr_rule_name(*op) {
-            Some(name) => {
-                let tys: Vec<Ty> = args.iter().map(|a| lexpr_ty(a, env)).collect();
-                intrinsic_ty(name, &tys)
-            }
-            None => Ty::Unknown,
-        },
+        // The rules go by source name, as `lower::intr_of` does; a name
+        // they do not know types `Unknown`.
+        LExpr::Intrinsic { name, args, .. } => {
+            let tys: Vec<Ty> = args.iter().map(|a| lexpr_ty(a, env)).collect();
+            intrinsic_ty(name, &tys)
+        }
         LExpr::Unary { op, operand } => unop_ty(*op, &lexpr_ty(operand, env)),
         LExpr::Binary { op, lhs, rhs } => {
             binop_ty(*op, &lexpr_ty(lhs, env), &lexpr_ty(rhs, env))
@@ -94,138 +78,31 @@ pub(crate) fn lexpr_ty(e: &LExpr, env: &ProcTyEnv) -> Ty {
     }
 }
 
-pub(crate) fn operand_ty(o: &Operand, env: &ProcTyEnv) -> Ty {
-    match o {
-        Operand::Const(v) => Ty::of_scalar_type(v.ty()),
-        Operand::Var(slot) => env.scalars[*slot as usize].clone(),
-        Operand::Hoisted(slot) => env.hoists[*slot as usize].clone(),
-        Operand::Load { slot, .. } => env.arrays[*slot as usize].clone(),
-        Operand::LoadErr { .. } => Ty::Unknown,
-        Operand::Un { op, operand } => unop_ty(*op, &operand_ty(operand, env)),
-        Operand::Bin { op, a, b } => binop_ty(*op, &operand_ty(a, env), &operand_ty(b, env)),
-        Operand::Intr { op, args, .. } => match intr_rule_name(*op) {
-            Some(name) => {
-                let tys: Vec<Ty> = args.iter().map(|a| operand_ty(a, env)).collect();
-                intrinsic_ty(name, &tys)
-            }
-            None => Ty::Unknown,
-        },
-    }
-}
-
-/// Classify one chain. `Real` needs only the *first* operand to be a
-/// real and every operator to be `+ - * /`: once the accumulator is
-/// real, `eval_binop` promotes any right operand — so the typed f64 loop
-/// is bit-identical regardless of the operands' tags. `Int` needs every
-/// operand provably integer and operators within `+ - *` (integer
-/// division and `**` can error and stay on the general path).
-pub(crate) fn chain_mono(first: &Operand, rest: &[(BinOp, Operand)], env: &ProcTyEnv) -> ChainTy {
-    use BinOp::*;
-    if rest.is_empty() {
-        // A bare store: no operator dispatch to skip.
-        return ChainTy::Dyn;
-    }
-    let first_ty = operand_ty(first, env);
-    if first_ty == Ty::Real && rest.iter().all(|(op, _)| matches!(op, Add | Sub | Mul | Div)) {
-        return ChainTy::Real;
-    }
-    if first_ty == Ty::Int
-        && rest.iter().all(|(op, o)| {
-            matches!(op, Add | Sub | Mul) && operand_ty(o, env) == Ty::Int
-        })
-    {
-        return ChainTy::Int;
-    }
-    ChainTy::Dyn
-}
-
-/// Annotate every chain instruction in `proc` with its monomorphism
-/// verdict. Returns `(typed, dynamic)` chain counts.
-pub(crate) fn annotate_proc(proc: &mut LProc) -> (usize, usize) {
-    let mut env = ProcTyEnv::new(proc);
-    let mut counts = (0usize, 0usize);
-    let mut body = std::mem::take(&mut proc.body);
-    annotate_stmts(&mut body, &mut env, &mut counts);
-    proc.body = body;
-    counts
-}
-
-fn annotate_stmts(stmts: &mut [LStmt], env: &mut ProcTyEnv, counts: &mut (usize, usize)) {
+/// Assignments compiled into typed blocks, and assignments left to the
+/// tree-walker, under `stmts`.
+fn count_stmts(stmts: &[LStmt], counts: &mut (usize, usize)) {
     for s in stmts {
         match s {
-            LStmt::Do { body, hoists, .. } => {
-                // Hoists evaluate at loop entry, before the body — type
-                // them first so body chains can use their slots.
-                for h in hoists.iter() {
-                    let t = lexpr_ty(&h.expr, env);
-                    env.hoists[h.slot as usize] = t;
-                }
-                annotate_stmts(body, env, counts);
-            }
+            LStmt::Do { body, .. } => count_stmts(body, counts),
             LStmt::If {
                 then_body,
                 else_body,
                 ..
             } => {
-                annotate_stmts(then_body, env, counts);
-                annotate_stmts(else_body, env, counts);
+                count_stmts(then_body, counts);
+                count_stmts(else_body, counts);
             }
-            LStmt::Block { code, .. } => {
-                for ins in code {
-                    match ins {
-                        Instr::ChainScalar {
-                            first, rest, mono, ..
-                        }
-                        | Instr::ChainArray {
-                            first, rest, mono, ..
-                        } => {
-                            *mono = chain_mono(first, rest, env);
-                            if *mono == ChainTy::Dyn {
-                                counts.1 += 1;
-                            } else {
-                                counts.0 += 1;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
+            LStmt::Block { stmts, .. } => counts.0 += stmts.len(),
+            LStmt::AssignScalar { .. } | LStmt::AssignArray { .. } | LStmt::SetVar { .. } => {
+                counts.1 += 1
             }
             _ => {}
         }
     }
 }
 
-fn count_chains(stmts: &[LStmt], counts: &mut (usize, usize)) {
-    for s in stmts {
-        match s {
-            LStmt::Do { body, .. } => count_chains(body, counts),
-            LStmt::If {
-                then_body,
-                else_body,
-                ..
-            } => {
-                count_chains(then_body, counts);
-                count_chains(else_body, counts);
-            }
-            LStmt::Block { code, .. } => {
-                for ins in code {
-                    if let Instr::ChainScalar { mono, .. } | Instr::ChainArray { mono, .. } = ins
-                    {
-                        if *mono == ChainTy::Dyn {
-                            counts.1 += 1;
-                        } else {
-                            counts.0 += 1;
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Infer slot-level types for `program` and report how many chain
-/// instructions the optimizer could specialize. Runs the same lowering
+/// Infer slot-level types for `program` and report how many assignment
+/// statements the optimizer compiled into typed blocks. Runs the same lowering
 /// and optimization pipeline as execution (with default options), so the
 /// counts are exactly what [`crate::run_program`] runs.
 pub fn analyze_types(program: &fir::ast::Program) -> Result<TypeReport, fir::Errors> {
@@ -240,7 +117,7 @@ fn report_of(program: &LProgram) -> TypeReport {
     for proc in &program.procs {
         let env = ProcTyEnv::new(proc);
         let mut counts = (0usize, 0usize);
-        count_chains(&proc.body, &mut counts);
+        count_stmts(&proc.body, &mut counts);
         report.procs.push(ProcTypes {
             name: proc.name.clone(),
             scalars: proc
@@ -255,8 +132,8 @@ fn report_of(program: &LProgram) -> TypeReport {
                 .cloned()
                 .zip(env.arrays.iter().map(|t| Ty::Array(Box::new(t.clone()))))
                 .collect(),
-            chains_typed: counts.0,
-            chains_dyn: counts.1,
+            stmts_typed: counts.0,
+            stmts_walked: counts.1,
         });
     }
     report
@@ -267,23 +144,24 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accumulation_chains_are_typed() {
+    fn typed_statements_compile_into_blocks() {
         let src = "program m\n\
                    real :: a(16)\n\
+                   integer :: k(16)\n\
                    do i = 1, 16\n\
                    t = 0.0\n\
-                   do j = 1, 8\n\
+                   do j = 1, 64\n\
                    t = t + i * j + 0.5\n\
                    end do\n\
                    a(i) = t * 0.5 + i\n\
+                   k(i) = i * 3 - i / 2\n\
                    end do\n\
                    end program";
         let program = fir::parse_validated(src).unwrap();
         let report = analyze_types(&program).unwrap();
-        assert!(
-            report.chains_typed() > 0,
-            "real accumulator chains should specialize: {report:?}"
-        );
+        // Every assignment types — integer division included: it is an
+        // op with a zero check, not a reason to leave the block.
+        assert_eq!((report.stmts_typed(), report.stmts_walked()), (4, 0), "{report:?}");
         let main = &report.procs[0];
         let t = main.scalars.iter().find(|(n, _)| n == "t").unwrap();
         assert_eq!(t.1, Ty::Real);
@@ -291,21 +169,6 @@ mod tests {
         assert_eq!(i.1, Ty::Int);
         let a = main.arrays.iter().find(|(n, _)| n == "a").unwrap();
         assert_eq!(a.1, Ty::Array(Box::new(Ty::Real)));
-    }
-
-    #[test]
-    fn integer_division_chain_stays_dynamic() {
-        // i / j can raise "integer division by zero" — the typed int loop
-        // excludes Div, so this chain must stay on the general path.
-        let src = "program m\n\
-                   integer :: k(8)\n\
-                   do i = 1, 8\n\
-                   k(i) = i * 3 - i / 2\n\
-                   end do\n\
-                   end program";
-        let program = fir::parse_validated(src).unwrap();
-        let report = analyze_types(&program).unwrap();
-        assert_eq!(report.chains_typed(), 0, "{report:?}");
     }
 
     #[test]

@@ -116,6 +116,23 @@ impl Data {
             Data::Real(v) => v[i] = s.as_real(),
         }
     }
+
+    /// Element `i` as raw 8-byte word (an `f64` as its bits) — the
+    /// register code's view, which knows the element type statically.
+    pub(crate) fn bits(&self, i: usize) -> u64 {
+        match self {
+            Data::Int(v) => v[i] as u64,
+            Data::Real(v) => v[i].to_bits(),
+        }
+    }
+
+    /// Store a raw word already converted to this storage's element type.
+    pub(crate) fn set_bits(&mut self, i: usize, bits: u64) {
+        match self {
+            Data::Int(v) => v[i] = bits as i64,
+            Data::Real(v) => v[i] = f64::from_bits(bits),
+        }
+    }
 }
 
 /// A column-major array with Fortran bounds `lower..=upper` per dimension.
@@ -253,7 +270,6 @@ impl ArrayStorage {
     /// matches Fortran/MPI untyped-buffer behaviour).
     pub fn decode_into(&mut self, offset: usize, bytes: &[u8]) {
         assert_eq!(bytes.len() % 8, 0, "payload not 8-byte aligned");
-        let count = bytes.len() / 8;
         match &mut self.data {
             Data::Int(v) => {
                 for (i, w) in bytes.chunks_exact(8).enumerate() {
@@ -268,7 +284,6 @@ impl ArrayStorage {
                 }
             }
         }
-        let _ = count;
     }
 }
 

@@ -1,7 +1,9 @@
-//! A/B micro-benchmark of the `interp::opt` pass: runs the same programs
-//! with the optimizer off and on, printing host wall-clock for each. The
-//! makespans (virtual times) are asserted identical — the pass is
-//! unobservable except to your watch.
+//! A/B micro-benchmark of the interpreter's two evaluators: runs the same
+//! programs on the tree-walker alone (`optimize: false`) and with the
+//! `interp::opt` pass compiling their loop bodies into register-code
+//! blocks, printing host wall-clock and host-ns per charged virtual ns
+//! for each. The makespans (virtual times) are asserted identical — the
+//! pass is unobservable except to your watch.
 //!
 //! ```text
 //! cargo run --release --example opt_bench
@@ -34,10 +36,15 @@ fn bench(label: &str, src: &str) {
         }
     }
     assert_eq!(makespans[0], makespans[1], "virtual times must not move");
+    // These programs do nothing but compute, so the makespan is the
+    // virtual compute charged (1 ns per expression node, 2 per statement).
+    let vns = makespans[0].as_ns() as f64;
     println!(
-        "{label:24} unopt {:8.1} ms  opt {:8.1} ms  ({:.2}x)  makespan {}",
+        "{label:24} walk {:8.1} ms ({:5.2} ns/vns)  blocks {:8.1} ms ({:5.2} ns/vns)  ({:.2}x)  makespan {}",
         times[0] * 1e3,
+        times[0] * 1e9 / vns,
         times[1] * 1e3,
+        times[1] * 1e9 / vns,
         times[0] / times[1],
         makespans[0],
     );

@@ -5,8 +5,9 @@
 //!    interface, scripts grep for them);
 //! 2. every program the pipeline emits — registry × rank counts ×
 //!    original/pre-push — verifies clean;
-//! 3. the typed-chain specialization is invisible: virtual times,
-//!    per-rank stats, and outputs are byte-identical with it on or off.
+//! 3. the typed register code is invisible: on generated typed loop
+//!    nests, outputs (reals by bits), per-rank stats and prints are
+//!    identical between `optimize: true` and the plain tree walk.
 
 use overlap_suite::analyze::{verify_comm, CommCheckConfig};
 use overlap_suite::sweep::{analyze_registry, ModelSpec};
@@ -90,50 +91,251 @@ proptest! {
     }
 }
 
+/// A generated expression: its source text and whether it is real-typed
+/// (the generator tracks types so that subscripts, `mod` arguments and
+/// integer divisors stay valid and error-free).
+#[derive(Debug, Clone)]
+struct GenExpr {
+    src: String,
+    real: bool,
+}
+
+/// Extent of every generated array dimension; loop trips stay below it.
+const GEN_N: i64 = 40;
+
+fn gen_expr(src: impl Into<String>, real: bool) -> GenExpr {
+    GenExpr {
+        src: src.into(),
+        real,
+    }
+}
+
+/// A real `e` clamped (NaN included) before anything converts it to an
+/// integer: a saturated `i64::MIN` would make a later `-` or `abs` an
+/// overflow panic in both evaluators alike.
+fn gen_clamped(e: &GenExpr) -> String {
+    if e.real {
+        format!("min(max({}, -1000.0), 1000.0)", e.src)
+    } else {
+        e.src.clone()
+    }
+}
+
+/// `e` as an integer expression.
+fn gen_int(e: &GenExpr) -> String {
+    if e.real {
+        format!("int({})", gen_clamped(e))
+    } else {
+        e.src.clone()
+    }
+}
+
+/// `e` as an in-bounds subscript: literal, loop variable, or folded into
+/// `1..=GEN_N`.
+fn gen_subscript(e: &GenExpr) -> String {
+    format!("(mod(abs({}), {GEN_N}) + 1)", gen_int(e))
+}
+
+/// `e` as a strictly positive integer (divisors, `mod` moduli).
+fn gen_positive(e: &GenExpr) -> String {
+    format!("(mod(abs({}), 7) + 1)", gen_int(e))
+}
+
+fn gen_leaf() -> BoxedStrategy<GenExpr> {
+    let sub = || {
+        prop_oneof![
+            (1..=GEN_N).prop_map(|v| v.to_string()),
+            Just("i".to_string()),
+            Just("j".to_string()),
+            // Always 3, but only at run time: subscript arithmetic on
+            // registers, in bounds whatever `k` has become.
+            Just("(mod(k + i, 40) * 0 + 3)".to_string()),
+        ]
+    };
+    prop_oneof![
+        (-3i64..=9).prop_map(|v| gen_expr(format!("({v})"), false)),
+        prop::sample::select(vec!["0.0", "0.5", "1.25", "(-2.5)", "3.0"])
+            .prop_map(|v| gen_expr(v, true)),
+        prop::sample::select(vec!["i", "j", "k", "m", "mynum", "np"])
+            .prop_map(|v| gen_expr(v, false)),
+        prop::sample::select(vec!["x", "t"]).prop_map(|v| gen_expr(v, true)),
+        sub().prop_map(|s| gen_expr(format!("ia({s})"), false)),
+        sub().prop_map(|s| gen_expr(format!("ra({s})"), true)),
+        (sub(), sub()).prop_map(|(a, b)| gen_expr(format!("ib({a}, {b})"), false)),
+        (sub(), sub()).prop_map(|(a, b)| gen_expr(format!("rb({a}, {b})"), true)),
+    ]
+    .boxed()
+}
+
+fn gen_expression() -> BoxedStrategy<GenExpr> {
+    gen_leaf().prop_recursive(3, 24, 3, |inner| {
+        let binops = vec![
+            "+", "-", "*", "/", "**", "==", "/=", "<", "<=", ">", ">=", ".and.", ".or.",
+        ];
+        let unary = vec![
+            "-", ".not.", "abs", "sqrt", "sin", "cos", "exp", "log", "floor", "int", "real",
+        ];
+        prop_oneof![
+            (inner.clone(), inner.clone(), prop::sample::select(binops)).prop_map(
+                |(a, b, op)| {
+                    let both_int = !a.real && !b.real;
+                    let rhs = match op {
+                        // Integer division by zero and `0 ** -n` are runtime
+                        // errors; the error table test owns those.
+                        "/" if both_int => gen_positive(&b),
+                        "**" if both_int => "2".to_string(),
+                        _ => b.src.clone(),
+                    };
+                    let real = matches!(op, "+" | "-" | "*" | "/" | "**") && !both_int;
+                    gen_expr(format!("({} {op} {rhs})", a.src), real)
+                }
+            ),
+            (inner.clone(), prop::sample::select(unary)).prop_map(|(a, op)| match op {
+                "-" | ".not." => gen_expr(format!("({op} {})", a.src), op == "-" && a.real),
+                "abs" => gen_expr(format!("abs({})", a.src), a.real),
+                "floor" | "int" => gen_expr(format!("{op}({})", gen_clamped(&a)), false),
+                _ => gen_expr(format!("{op}({})", a.src), true),
+            }),
+            (inner.clone(), inner.clone()).prop_map(|(a, b)| gen_expr(
+                format!("mod({}, {})", gen_int(&a), gen_positive(&b)),
+                false
+            )),
+            (
+                inner.clone(),
+                inner.clone(),
+                inner.clone(),
+                any::<bool>(),
+                any::<bool>()
+            )
+                .prop_map(|(a, b, c, is_min, three)| {
+                    let f = if is_min { "min" } else { "max" };
+                    if three {
+                        let real = a.real || b.real || c.real;
+                        gen_expr(format!("{f}({}, {}, {})", a.src, b.src, c.src), real)
+                    } else {
+                        gen_expr(format!("{f}({}, {})", a.src, b.src), a.real || b.real)
+                    }
+                }),
+            inner.clone().prop_map(|a| gen_expr(format!("ia({})", gen_subscript(&a)), false)),
+            (inner.clone(), inner).prop_map(|(a, b)| gen_expr(
+                format!("rb({}, {})", gen_subscript(&a), gen_subscript(&b)),
+                true
+            )),
+        ]
+    })
+}
+
+/// One assignment: an int or real scalar, or an element of a rank-1/2 int
+/// or real array, from an expression of either type (stores convert).
+fn gen_assignment() -> BoxedStrategy<String> {
+    let target = prop_oneof![
+        prop::sample::select(vec!["k", "m", "x", "t"]).prop_map(str::to_string),
+        (prop::sample::select(vec!["ia", "ra"]), gen_expression())
+            .prop_map(|(a, s)| format!("{a}({})", gen_subscript(&s))),
+        (prop::sample::select(vec!["ib", "rb"]), 1..=GEN_N)
+            .prop_map(|(a, c)| format!("{a}(i, {c})")),
+    ];
+    (target, gen_expression())
+        .prop_map(|(t, e)| {
+            let to_int = matches!(t.as_bytes()[0], b'k' | b'm' | b'i');
+            let value = if to_int { gen_clamped(&e) } else { e.src };
+            format!("{t} = {value}")
+        })
+        .boxed()
+}
+
+/// A one- or two-deep `do` nest of generated assignments, trip counts on
+/// both sides of the unroller's threshold (16).
+fn gen_program() -> BoxedStrategy<String> {
+    let body = || prop::collection::vec(gen_assignment(), 1..=5);
+    (
+        prop::sample::select(vec![3i64, 16, 17, GEN_N]),
+        prop::sample::select(vec![0i64, 2, 16, 17]),
+        body(),
+        body(),
+        body(),
+    )
+        .prop_map(|(outer, inner, pre, core, post)| {
+            let mut s = format!(
+                "program gen\n  integer :: k, m, ia({GEN_N}), ib({GEN_N}, {GEN_N})\n  \
+                 real :: x, t, ra({GEN_N}), rb({GEN_N}, {GEN_N})\n  \
+                 do i = 1, {GEN_N}\n    ia(i) = i * 7 - 20\n    ra(i) = i * 0.75 - mynum\n    \
+                 ib(i, 3) = 5 - i\n    rb(i, 2) = 1.5 * i\n  end do\n  j = 1\n  do i = 1, {outer}\n"
+            );
+            let mut emit = |stmts: &[String], indent: &str| {
+                for a in stmts {
+                    s.push_str(&format!("{indent}{a}\n"));
+                }
+            };
+            emit(&pre, "    ");
+            if inner > 0 {
+                emit(&[format!("do j = 1, {inner}")], "    ");
+                emit(&core, "      ");
+                emit(&["end do".to_string()], "    ");
+                emit(&post, "    ");
+            }
+            s.push_str("  end do\n  call print(k, m, x, t)\nend program\n");
+            s
+        })
+        .boxed()
+}
+
+/// Array payloads with reals as bit patterns: generated arithmetic is free
+/// to produce NaN, which `==` would call unequal to itself.
+fn output_bits(r: &interp::RunResult) -> Vec<Vec<(String, Vec<u64>)>> {
+    r.outputs
+        .iter()
+        .map(|o| {
+            o.arrays
+                .iter()
+                .map(|(name, dump)| {
+                    let words = match &dump.data {
+                        interp::Data::Int(v) => v.iter().map(|x| *x as u64).collect(),
+                        interp::Data::Real(v) => v.iter().map(|x| x.to_bits()).collect(),
+                    };
+                    (name.clone(), words)
+                })
+                .collect()
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig {
-        cases: 8,
+        cases: 192,
         max_shrink_iters: 0,
         ..ProptestConfig::default()
     })]
 
-    /// Typed chains are a pure dispatch optimization: turning them off
-    /// changes nothing observable — same outputs, same per-rank virtual
-    /// times, same stats — on original and pre-push programs alike.
+    /// The register code against the tree-walker on programs nobody wrote
+    /// by hand: every operator and intrinsic over mixed int/real operands,
+    /// literal and computed subscripts, loops that unroll and loops that do
+    /// not — same array bits, same per-rank virtual-time stats, same prints.
     #[test]
-    fn typed_chains_are_byte_identical(
-        idx in 0usize..8,
-        np in prop::sample::select(vec![2usize, 4]),
-        prepush in any::<bool>(),
-    ) {
-        let entry = &workloads::registry()[idx];
-        let w = (entry.make)(SizeClass::Small, np);
+    fn generated_typed_nests_run_identically_optimized(source in gen_program()) {
+        let program = fir::parse_validated(&source)
+            .unwrap_or_else(|e| panic!("generator emitted an invalid program: {}\n{source}", e.render(&source)));
+        // Everything generated is typable, so all of it runs as register code.
+        let types = interp::analyze_types(&program).unwrap();
+        prop_assert_eq!(types.stmts_walked(), 0, "left to the tree-walker:\n{}", source);
         let model = clustersim::NetworkModel::mpich_gm();
-        let program = if prepush {
-            overlap_suite::sweep::transform_workload(w.as_ref(), &model, None).program
-        } else {
-            w.program()
+        let run = |optimize| {
+            let opts = interp::Options { optimize, ..Default::default() };
+            interp::run_program_opts(&program, 2, &model, &opts)
+                .unwrap_or_else(|e| panic!("optimize={optimize}: {e}\n{source}"))
         };
-
-        let on = interp::Options {
-            typed_chains: true,
-            ..Default::default()
-        };
-        let off = interp::Options {
-            typed_chains: false,
-            ..on.clone()
-        };
-
-        let a = interp::run_program_opts(&program, np, &model, &on).unwrap();
-        let b = interp::run_program_opts(&program, np, &model, &off).unwrap();
-        prop_assert_eq!(&a.outputs, &b.outputs, "{} outputs differ", entry.name);
+        let (fast, plain) = (run(true), run(false));
+        prop_assert_eq!(output_bits(&fast), output_bits(&plain), "outputs differ:\n{}", source);
         prop_assert_eq!(
-            &a.report.per_rank, &b.report.per_rank,
-            "{} virtual-time stats differ", entry.name
+            &fast.report.per_rank, &plain.report.per_rank,
+            "virtual-time stats differ:\n{}", source
         );
+        let prints = |r: &interp::RunResult| -> Vec<Vec<String>> {
+            r.outputs.iter().map(|o| o.prints.clone()).collect()
+        };
+        prop_assert_eq!(prints(&fast), prints(&plain), "prints differ:\n{}", source);
     }
 }
-
 /// The step budget: the rank that exhausts it files exactly one A007 at
 /// the statement it stopped on, and its partial collective trace stays
 /// out of the cross-rank comparison (rank 0 never reached the barrier —
