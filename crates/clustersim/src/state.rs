@@ -83,34 +83,41 @@ pub(crate) struct CollectiveSlot {
     pub taken: usize,
 }
 
-/// One (src, dst) mailbox: FIFO queues per tag (MPI's non-overtaking rule
-/// for identical envelopes). Tag counts per pair are tiny, so a linear
-/// scan beats hashing — this retires the old `HashMap<MsgKey, _>` path.
+/// One (src, dst) mailbox, in deposit order: taking the first message
+/// with a tag is FIFO per tag (MPI's non-overtaking rule for identical
+/// envelopes). Most of the `np * np` pairs never hold more than one
+/// message at a time, so the oldest sits inline and the queue behind it
+/// allocates only when a second arrives; queues are short, so a linear
+/// scan beats hashing.
 #[derive(Default)]
 struct Channel {
-    queues: Vec<(i64, VecDeque<InFlight>)>,
+    oldest: Option<(i64, InFlight)>,
+    /// Everything deposited after `oldest`, which is filled only when
+    /// this is empty.
+    later: VecDeque<(i64, InFlight)>,
 }
 
 impl Channel {
     fn push(&mut self, tag: i64, msg: InFlight) {
-        match self.queues.iter_mut().find(|(t, _)| *t == tag) {
-            Some((_, q)) => q.push_back(msg),
-            None => self.queues.push((tag, VecDeque::from([msg]))),
+        if self.oldest.is_none() && self.later.is_empty() {
+            self.oldest = Some((tag, msg));
+        } else {
+            self.later.push_back((tag, msg));
         }
     }
 
     fn pop(&mut self, tag: i64) -> Option<InFlight> {
-        self.queues
-            .iter_mut()
-            .find(|(t, _)| *t == tag)
-            .and_then(|(_, q)| q.pop_front())
+        if self.oldest.as_ref().is_some_and(|(t, _)| *t == tag) {
+            return self.oldest.take().map(|(_, m)| m);
+        }
+        let at = self.later.iter().position(|(t, _)| *t == tag)?;
+        self.later.remove(at).map(|(_, m)| m)
     }
 
     fn available(&self, tag: i64) -> usize {
-        self.queues
-            .iter()
-            .find(|(t, _)| *t == tag)
-            .map_or(0, |(_, q)| q.len())
+        let tagged = |(t, _): &(i64, InFlight)| *t == tag;
+        self.oldest.iter().filter(|m| tagged(m)).count()
+            + self.later.iter().filter(|m| tagged(m)).count()
     }
 }
 
@@ -293,24 +300,34 @@ impl Shared {
     }
 
     /// Deposit a message already timed by the sender. Wakes only the
-    /// destination rank.
+    /// destination rank: through the scheduler's hook when one is
+    /// installed, else through the rank's wait cell. Resumable ranks park
+    /// in `RankSched` and never wait on a cell, and a futex condvar makes
+    /// a syscall per notify whether or not anyone waits — one per message.
     pub fn deposit(&self, key: MsgKey, msg: InFlight) {
+        let waker = self.waker.get();
         match &self.topo {
             Topology::Sharded(s) => {
                 let idx = self.cell(s, key.src, key.dst);
                 s.channels[idx].lock().push(key.tag, msg);
-                let w = &s.waits[key.dst];
-                *w.epoch.lock() += 1;
-                w.cond.notify_one();
+                if waker.is_none() {
+                    let w = &s.waits[key.dst];
+                    *w.epoch.lock() += 1;
+                    w.cond.notify_one();
+                }
             }
             Topology::SingleLock(s) => {
                 let mut inner = s.inner.lock();
                 inner.channels[key.src * self.np + key.dst].push(key.tag, msg);
                 drop(inner);
-                s.cond.notify_all();
+                if waker.is_none() {
+                    s.cond.notify_all();
+                }
             }
         }
-        self.wake(WakeEvent::One(key.dst));
+        if let Some(w) = waker {
+            w(WakeEvent::One(key.dst));
+        }
     }
 
     /// Sender-side NIC booking: returns (depart, done) and advances the

@@ -301,7 +301,7 @@ impl<'p> Interp<'p> {
                     self.walk_block(proc, frame, stmts);
                 } else {
                     let (mut f, r) = (frame.borrow_mut(), &mut self.regs);
-                    code.enter(&f, r);
+                    code.enter(proc, &f, r);
                     code.body(proc, &f, r);
                     code.leave(&mut f, r);
                 }
@@ -458,7 +458,7 @@ impl<'p> Interp<'p> {
         } else {
             let mut f = frame.borrow_mut();
             let r = &mut self.regs;
-            code.enter(&f, r);
+            code.enter(proc, &f, r);
             while !done(i) {
                 r[LOOP_VAR] = i as u64;
                 code.body(proc, &f, r);
@@ -744,8 +744,16 @@ impl<'p> Interp<'p> {
                 binding.rank()
             );
         }
-        let mut lows = Vec::with_capacity(sec.dims.len());
-        let mut counts = Vec::with_capacity(sec.dims.len());
+        // One of these per isend/irecv: inline up to the usual ranks.
+        let rank = sec.dims.len();
+        let (mut lows4, mut counts4, mut lows_n, mut counts_n) = ([0; 4], [0; 4], vec![], vec![]);
+        let (lows, counts): (&mut [i64], &mut [usize]) = if rank <= 4 {
+            (&mut lows4[..rank], &mut counts4[..rank])
+        } else {
+            lows_n.resize(rank, 0);
+            counts_n.resize(rank, 0);
+            (&mut lows_n, &mut counts_n)
+        };
         for (d, sd) in sec.dims.iter().enumerate() {
             let (blo, bhi) = binding.bounds()[d];
             let (lo, hi) = match sd {
@@ -776,8 +784,8 @@ impl<'p> Interp<'p> {
                     bhi
                 );
             }
-            lows.push(lo);
-            counts.push((hi - lo + 1).max(0) as usize);
+            lows[d] = lo;
+            counts[d] = (hi - lo + 1).max(0) as usize;
         }
         let len: usize = counts.iter().product();
         if len == 0 {
@@ -799,7 +807,7 @@ impl<'p> Interp<'p> {
                 }
             }
         }
-        let offset = match binding.flat(&sec.name, &lows) {
+        let offset = match binding.flat(&sec.name, lows) {
             Ok(o) => o,
             Err(be) => rt_err!("{be}"),
         };
@@ -872,14 +880,19 @@ impl<'p> Interp<'p> {
         ));
     }
 
+    /// Decode completed receives into their registered buffers. `done` and
+    /// `pending` are both in post order, so one walk pairs them up.
     pub(crate) fn apply_received(&mut self, done: Vec<(RecvId, Bytes)>) {
+        let mut kept = Vec::new();
+        let mut pending = self.pending.drain(..);
         for (id, payload) in done {
-            let pos = self
-                .pending
-                .iter()
-                .position(|(pid, _)| *pid == id)
-                .unwrap_or_else(|| rt_err!("completed receive with no registered buffer"));
-            let (_, buf) = self.pending.remove(pos);
+            let buf = loop {
+                match pending.next() {
+                    Some((pid, buf)) if pid == id => break buf,
+                    Some(other) => kept.push(other),
+                    None => rt_err!("completed receive with no registered buffer"),
+                }
+            };
             if payload.len() != buf.count * 8 {
                 rt_err!(
                     "mpi receive: expected {} elements ({} bytes), got {} bytes",
@@ -892,6 +905,8 @@ impl<'p> Interp<'p> {
                 .borrow_mut()
                 .decode_into(buf.offset, payload.as_ref());
         }
+        kept.extend(pending);
+        self.pending.append(&mut kept);
     }
 
     fn mpi_alltoall(&mut self, proc: &'p LProc, frame: &FrameCell, args: &'p [LArg], comm: &mut Comm) {

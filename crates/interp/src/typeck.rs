@@ -27,6 +27,10 @@ pub(crate) struct ProcTyEnv {
     pub arrays: Vec<Ty>,
     /// Array slot -> declared rank.
     pub ranks: Vec<usize>,
+    /// Array slot -> alias class. An array the procedure allocates itself
+    /// is a class of its own (distinct storage by construction); all dummy
+    /// arrays share the last one (sequence association may overlap them).
+    pub alias: Vec<usize>,
     /// Hoist slot -> type of the cached expression, filled in statement
     /// order as block formation encounters each loop's hoists.
     pub hoists: Vec<Ty>,
@@ -41,14 +45,19 @@ impl ProcTyEnv {
             .collect();
         let mut arrays = vec![Ty::Unknown; proc.array_names.len()];
         let mut ranks = vec![0; proc.array_names.len()];
+        let mut alias: Vec<usize> = (0..proc.array_names.len()).collect();
         for d in &proc.array_decls {
             arrays[d.slot as usize] = Ty::of_scalar_type(d.ty);
             ranks[d.slot as usize] = d.dims.len();
+            if d.param.is_some() {
+                alias[d.slot as usize] = proc.array_names.len();
+            }
         }
         ProcTyEnv {
             scalars,
             arrays,
             ranks,
+            alias,
             hoists: vec![Ty::Unknown; proc.hoist_slots],
         }
     }

@@ -67,4 +67,11 @@ fn main() {
         "direct2d-shaped nest",
         "program main\n  real :: as(4096, 8), ar(4096, 8)\n  do iy = 1, 4\n    do ix = 1, 4096\n      do iz = 1, 8\n        t = 0.0\n        do iw = 1, 3\n          t = t + ix * iw + iz + iy\n        end do\n        as(ix, iz) = t * 0.5 + ix\n      end do\n    end do\n  end do\nend program",
     );
+    // What the value numbering in `interp::reg` is for: `iz` and `iw`
+    // unroll, so one `ix` iteration loads `c(ix)` 24 times and multiplies
+    // it by 0.001 sixteen times in the source, once each in the block.
+    bench(
+        "adi-shaped repeats",
+        "program main\n  real :: u(4096, 8), c(4096)\n  do i = 1, 4096\n    c(i) = i * 0.01\n  end do\n  do it = 1, 8\n    do ix = 1, 4096\n      do iz = 1, 8\n        t = c(ix) * 0.5 + u(ix, iz) * 0.25 + iz\n        do iw = 1, 2\n          t = t + c(ix) * 0.001 * iw\n        end do\n        u(ix, iz) = t\n      end do\n    end do\n  end do\nend program",
+    );
 }

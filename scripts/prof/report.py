@@ -2,6 +2,7 @@
 """Turn a sampler.c dump into flat and inclusive function shares.
 
     python3 scripts/prof/report.py /tmp/prof.<pid> [--top 30] [--strip N]
+                                   [--leaf-callers NAME]
 
 Addresses are mapped back through the dump's own /proc/self/maps copy and
 resolved with `addr2line -f -C -i` (so inlined frames count for the function
@@ -9,8 +10,17 @@ the source says they are in). *Flat* is where the program counter was;
 *inclusive* counts a function once per sample in which it appears anywhere on
 the stack. Needs binutils' addr2line and a binary built with
 RUSTFLAGS="-C force-frame-pointers=yes -g".
+
+An object without debug info (libc, libm) resolves to the nearest *exported*
+symbol below the address, which for a static function is some unrelated
+neighbour: glibc's `_int_malloc` reads as `__default_morecore`. Such an
+address is checked against the symbol's size and, when it lies past the end,
+shown as `[libc.so.6 past __default_morecore]`. `--leaf-callers NAME` says
+who is responsible instead: for the samples whose innermost function
+contains NAME, the first frame above it that is in the profiled binary.
 """
 import argparse
+import bisect
 import collections
 import os
 import re
@@ -61,6 +71,30 @@ def elf_vaddr_bias(obj):
     return 0
 
 
+def symbol_extents(obj):
+    """Sorted [(vaddr, size, name)] of the defined symbols that have a size,
+    from the static and the dynamic symbol table."""
+    syms = set()
+    for flags in (["-S", "--defined-only"], ["-D", "-S", "--defined-only"]):
+        proc = subprocess.run(["nm", "-C", *flags, obj], capture_output=True, text=True)
+        for line in proc.stdout.splitlines():
+            f = line.split(None, 3)
+            if len(f) == 4 and f[2] in "TtWwiV":
+                syms.add((int(f[0], 16), int(f[1], 16), f[3].split("@")[0]))
+    return sorted(syms)
+
+
+def beyond_symbol(extents, vaddr, obj):
+    """None when `vaddr` lies inside the nearest symbol at or below it, else
+    the label that says it does not."""
+    i = bisect.bisect_right(extents, (vaddr, float("inf"), "")) - 1
+    base = os.path.basename(obj)
+    if i < 0:
+        return f"[{base}]"
+    start, size, name = extents[i]
+    return None if vaddr < start + size else f"[{base} past {name}]"
+
+
 def symbolize(by_obj):
     """{obj: {file_offset}} -> {(obj, file_offset): [innermost..outermost]}"""
     names = {}
@@ -71,6 +105,7 @@ def symbolize(by_obj):
                 names[(obj, o)] = [f"[{os.path.basename(obj)}]"]
             continue
         bias = elf_vaddr_bias(obj)
+        extents = None
         proc = subprocess.run(
             ["addr2line", "-f", "-C", "-i", "-a", "-e", obj],
             input="\n".join(hex(o + bias) for o in offsets),
@@ -85,8 +120,15 @@ def symbolize(by_obj):
                 names[cur] = []
                 i += 1
             else:
-                fn = lines[i]
-                names[cur].append(fn if fn != "??" else f"[{os.path.basename(obj)}]")
+                fn, where = lines[i], lines[i + 1] if i + 1 < len(lines) else "??"
+                if fn == "??":
+                    fn = f"[{os.path.basename(obj)}]"
+                elif where.startswith("??"):
+                    # No line info: the name came from the symbol table.
+                    if extents is None:
+                        extents = symbol_extents(obj)
+                    fn = beyond_symbol(extents, cur[1] + bias, obj) or fn
+                names[cur].append(fn)
                 i += 2  # function line, then file:line
     return names
 
@@ -102,6 +144,12 @@ def main():
     ap.add_argument("dump")
     ap.add_argument("--top", type=int, default=30)
     ap.add_argument("--strip", type=int, default=0, help="leading path segments to drop")
+    ap.add_argument(
+        "--leaf-callers",
+        metavar="NAME",
+        help="for samples whose innermost function contains NAME: the first "
+        "frame above it inside the profiled binary",
+    )
     args = ap.parse_args()
 
     samples, maps, cpu_ms = load(args.dump)
@@ -120,21 +168,31 @@ def main():
         located.append(frames)
     names = symbolize(by_obj)
 
-    flat, incl = collections.Counter(), collections.Counter()
+    # The profiled binary is the first executable mapping of the dump.
+    binary = maps[0][3] if maps else None
+    flat, incl, callers = collections.Counter(), collections.Counter(), collections.Counter()
     for frames in located:
         fns = []
         for key in frames:
-            fns.extend(names.get(key, ["[unknown]"]))
-        flat[fns[0]] += 1
-        for fn in set(fns):
+            fns.extend((fn, key[0]) for fn in names.get(key, ["[unknown]"]))
+        leaf = fns[0][0]
+        flat[leaf] += 1
+        for fn in {fn for fn, _ in fns}:
             incl[fn] += 1
+        if args.leaf_callers and args.leaf_callers in leaf:
+            above = (fn for fn, obj in fns[1:] if obj == binary)
+            callers[next(above, "[no frame in the binary]")] += 1
 
     total = len(located)
     if cpu_ms:
         print(f"{total} samples over {cpu_ms / 1000:.2f} s of CPU (one per {cpu_ms / total:.1f} ms)")
     else:
         print(f"{total} samples")
-    for title, counts in (("flat", flat), ("inclusive", incl)):
+    tables = [("flat", flat), ("inclusive", incl)]
+    if args.leaf_callers:
+        found = sum(callers.values())
+        tables = [(f"callers of leaf `{args.leaf_callers}` ({found} samples)", callers)]
+    for title, counts in tables:
         print(f"\n{title}:")
         for fn, n in counts.most_common(args.top):
             print(f"  {100 * n / total:6.2f} %  {n:7d}  {short(fn, args.strip)}")

@@ -216,6 +216,9 @@ fn gen_expression() -> BoxedStrategy<GenExpr> {
                         gen_expr(format!("{f}({}, {})", a.src, b.src), a.real || b.real)
                     }
                 }),
+            // The same subtree twice: what the value numbering reuses.
+            (inner.clone(), prop::sample::select(vec!["+", "*", "-"]))
+                .prop_map(|(a, op)| gen_expr(format!("({0} {op} {0})", a.src), a.real)),
             inner.clone().prop_map(|a| gen_expr(format!("ia({})", gen_subscript(&a)), false)),
             (inner.clone(), inner).prop_map(|(a, b)| gen_expr(
                 format!("rb({}, {})", gen_subscript(&a), gen_subscript(&b)),
@@ -244,27 +247,66 @@ fn gen_assignment() -> BoxedStrategy<String> {
         .boxed()
 }
 
+/// An element read, stored to and read again — through the same subscript
+/// expression, so the second read must not be served from the first — and
+/// a scalar copied before its slot is overwritten. Several lines.
+fn gen_store_between_loads() -> BoxedStrategy<String> {
+    (
+        prop::sample::select(vec![("ra", "x", "t"), ("ia", "k", "m")]),
+        gen_expression(),
+        gen_expression(),
+    )
+        .prop_map(|((arr, a, b), sub, value)| {
+            let at = format!("{arr}({})", gen_subscript(&sub));
+            let value = if arr == "ia" { gen_clamped(&value) } else { value.src };
+            format!("{a} = {at} + {at}\n{at} = {value}\n{b} = {a}\n{a} = {at} - {b}")
+        })
+        .boxed()
+}
+
 /// A one- or two-deep `do` nest of generated assignments, trip counts on
-/// both sides of the unroller's threshold (16).
+/// both sides of the unroller's threshold (16), then a subroutine called
+/// with distinct and with aliased actuals.
 fn gen_program() -> BoxedStrategy<String> {
-    let body = || prop::collection::vec(gen_assignment(), 1..=5);
+    let body = || {
+        let one = gen_assignment;
+        prop::collection::vec(prop_oneof![one(), one(), one(), gen_store_between_loads()], 1..=5)
+    };
+    // Over two dummy arrays and a local one: when both dummies are bound to
+    // the same array, a store through either name may hit an element the
+    // other has loaded.
+    let mix = prop::collection::vec(
+        prop::sample::select(vec![
+            "x = d1(i)",
+            "d2(i) = x * 0.5 + d1(j)",
+            "w(i) = d1(i) + x",
+            "d2(j) = w(i) - d1(i)",
+            "t = d1(i) * d1(i) + d2(i)",
+            "d1(i) = t + w(j) + d2(i)",
+        ]),
+        2..=6,
+    );
     (
         prop::sample::select(vec![3i64, 16, 17, GEN_N]),
         prop::sample::select(vec![0i64, 2, 16, 17]),
         body(),
         body(),
         body(),
+        mix,
     )
-        .prop_map(|(outer, inner, pre, core, post)| {
+        .prop_map(|(outer, inner, pre, core, post, mix)| {
             let mut s = format!(
-                "program gen\n  integer :: k, m, ia({GEN_N}), ib({GEN_N}, {GEN_N})\n  \
-                 real :: x, t, ra({GEN_N}), rb({GEN_N}, {GEN_N})\n  \
+                "subroutine mix(n, d1, d2)\n  integer :: n\n  real :: d1(n), d2(n), w({GEN_N})\n  \
+                 do i = 1, n\n    j = n + 1 - i\n    {}\n  end do\nend subroutine\n\n\
+                 program gen\n  integer :: k, m, ia({GEN_N}), ib({GEN_N}, {GEN_N})\n  \
+                 real :: x, t, ra({GEN_N}), rb({GEN_N}, {GEN_N}), rc({GEN_N})\n  \
                  do i = 1, {GEN_N}\n    ia(i) = i * 7 - 20\n    ra(i) = i * 0.75 - mynum\n    \
-                 ib(i, 3) = 5 - i\n    rb(i, 2) = 1.5 * i\n  end do\n  j = 1\n  do i = 1, {outer}\n"
+                 ib(i, 3) = 5 - i\n    rb(i, 2) = 1.5 * i\n  end do\n  j = 1\n  do i = 1, {outer}\n",
+                mix.join("\n    ")
             );
             let mut emit = |stmts: &[String], indent: &str| {
-                for a in stmts {
-                    s.push_str(&format!("{indent}{a}\n"));
+                for line in stmts.iter().flat_map(|a| a.lines()) {
+                    s.push_str(&format!("{indent}{line}\n"));
                 }
             };
             emit(&pre, "    ");
@@ -274,7 +316,10 @@ fn gen_program() -> BoxedStrategy<String> {
                 emit(&["end do".to_string()], "    ");
                 emit(&post, "    ");
             }
-            s.push_str("  end do\n  call print(k, m, x, t)\nend program\n");
+            s.push_str(&format!(
+                "  end do\n  call mix({GEN_N}, ra, rc)\n  call mix({GEN_N}, ra, ra)\n  \
+                 call print(k, m, x, t)\nend program\n"
+            ));
             s
         })
         .boxed()
