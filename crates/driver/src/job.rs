@@ -12,7 +12,8 @@
 //! identical to what a direct in-process sweep produces.
 //!
 //! Admission control is deliberately blunt: at most `capacity` jobs may
-//! be *queued* (a running job doesn't count). A submit beyond that is
+//! be *queued* (a running job doesn't count, nor does the one an idle
+//! worker is about to claim). A submit beyond that is
 //! rejected with [`SubmitError::QueueFull`] carrying a retry hint —
 //! callers get backpressure instead of unbounded memory growth.
 //!
@@ -217,6 +218,8 @@ struct State {
     jobs: Vec<Job>,
     /// Indices into `jobs`, FIFO.
     queue: VecDeque<usize>,
+    /// The worker has claimed a job and not finished it yet.
+    busy: bool,
     shutting_down: bool,
     worker_done: bool,
 }
@@ -306,6 +309,7 @@ impl JobCore {
                 state: Mutex::new(State {
                     jobs: Vec::new(),
                     queue: VecDeque::new(),
+                    busy: false,
                     shutting_down: false,
                     worker_done: true,
                 }),
@@ -327,7 +331,11 @@ impl JobCore {
         if st.shutting_down {
             return Err(SubmitError::ShuttingDown);
         }
-        if st.queue.len() >= self.inner.capacity {
+        // The queue's head is as good as running when a live worker is
+        // free to claim it: whether that worker has woken up yet must
+        // not decide what a submitter is told.
+        let claimable = !st.busy && !st.worker_done && !st.queue.is_empty();
+        if st.queue.len() - usize::from(claimable) >= self.inner.capacity {
             return Err(SubmitError::QueueFull {
                 capacity: self.inner.capacity,
                 retry_after_s: 1,
@@ -522,6 +530,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             let mut st = inner.lock();
             loop {
                 if let Some(idx) = st.queue.pop_front() {
+                    st.busy = true;
                     st.jobs[idx].state = JobState::Running;
                     inner.clients.notify_all();
                     let job = &st.jobs[idx];
@@ -550,6 +559,7 @@ fn worker_loop(inner: &Arc<Inner>) {
             None => run_sweep_with(&grid, threads, &sink),
         }));
         let mut st = inner.lock();
+        st.busy = false;
         match outcome {
             Ok(result) => {
                 let artifact = Arc::new(json::to_json_string(&result.normalized()));
@@ -652,6 +662,20 @@ mod tests {
         assert_eq!(core.status(a).unwrap().state, JobState::Cancelled);
         assert!(!core.cancel(a), "cancel is not idempotent-true");
         assert!(core.submit(JobSpec::grid(tiny_grid())).is_ok());
+    }
+
+    #[test]
+    fn a_job_the_idle_worker_has_yet_to_claim_holds_no_slot() {
+        // One may wait while one runs, whether or not the worker has
+        // woken up to claim the first by the time the second arrives.
+        for _ in 0..20 {
+            let core = JobCore::new(1);
+            let a = core.submit(JobSpec::grid(tiny_grid()).threads(1));
+            let b = core.submit(JobSpec::grid(tiny_grid()).threads(1));
+            assert_eq!((a, b), (Ok(1), Ok(2)));
+            core.shutdown();
+            core.join();
+        }
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub enum HttpError {
     HeaderTooLarge,
     /// Declared or actual body over [`MAX_BODY`].
     PayloadTooLarge,
-    /// The peer stalled past the socket read timeout.
+    /// The peer did not deliver its request within the server's deadline.
     Timeout,
     /// The peer closed before sending a complete request line; there is
     /// nobody to answer, so the connection is just dropped.
@@ -113,37 +113,40 @@ impl Request {
     }
 }
 
+/// One `read`, retried when interrupted: a stall past the socket's
+/// timeout is [`HttpError::Timeout`], any other failure means the peer
+/// is gone.
+fn read_some(r: &mut impl BufRead, buf: &mut [u8]) -> Result<usize, HttpError> {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    loop {
+        match r.read(buf) {
+            Ok(n) => return Ok(n),
+            Err(e) if e.kind() == Interrupted => {}
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut) => return Err(HttpError::Timeout),
+            Err(_) => return Err(HttpError::Closed),
+        }
+    }
+}
+
 /// Read one CRLF- (or bare-LF-) terminated line, capped at `max` bytes
 /// (terminator excluded); a longer line yields `overflow`.
 fn read_line(r: &mut impl BufRead, max: usize, overflow: HttpError) -> Result<String, HttpError> {
     let mut buf: Vec<u8> = Vec::new();
     loop {
         let mut byte = [0u8; 1];
-        match r.read(&mut byte) {
-            Ok(0) => {
-                return Err(if buf.is_empty() {
-                    HttpError::Closed
-                } else {
-                    HttpError::BadRequest("unexpected end of request".into())
-                });
-            }
-            Ok(_) => {
-                if byte[0] == b'\n' {
-                    break;
-                }
-                buf.push(byte[0]);
-                if buf.len() > max {
-                    return Err(overflow);
-                }
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HttpError::Timeout);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(_) => return Err(HttpError::Closed),
+        if read_some(r, &mut byte)? == 0 {
+            return Err(if buf.is_empty() {
+                HttpError::Closed
+            } else {
+                HttpError::BadRequest("unexpected end of request".into())
+            });
+        }
+        if byte[0] == b'\n' {
+            break;
+        }
+        buf.push(byte[0]);
+        if buf.len() > max {
+            return Err(overflow);
         }
     }
     if buf.last() == Some(&b'\r') {
@@ -152,26 +155,14 @@ fn read_line(r: &mut impl BufRead, max: usize, overflow: HttpError) -> Result<St
     String::from_utf8(buf).map_err(|_| HttpError::BadRequest("line is not valid UTF-8".into()))
 }
 
-fn read_exact_body(
-    r: &mut impl BufRead,
-    body: &mut Vec<u8>,
-    n: usize,
-) -> Result<(), HttpError> {
-    let start = body.len();
-    body.resize(start + n, 0);
-    let mut filled = start;
-    while filled < body.len() {
-        match r.read(&mut body[filled..]) {
-            Ok(0) => return Err(HttpError::BadRequest("body shorter than declared".into())),
-            Ok(k) => filled += k,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                return Err(HttpError::Timeout);
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(_) => return Err(HttpError::Closed),
+/// Fill `buf` from the reader; the peer closing first is a 400 that
+/// says `short`.
+fn read_full(r: &mut impl BufRead, buf: &mut [u8], short: &str) -> Result<(), HttpError> {
+    let mut filled = 0;
+    while filled < buf.len() {
+        match read_some(r, &mut buf[filled..])? {
+            0 => return Err(HttpError::BadRequest(short.into())),
+            k => filled += k,
         }
     }
     Ok(())
@@ -211,17 +202,11 @@ fn read_chunked(r: &mut impl BufRead) -> Result<Vec<u8>, HttpError> {
         if body.len() + size > MAX_BODY {
             return Err(HttpError::PayloadTooLarge);
         }
-        read_exact_body(r, &mut body, size)?;
+        let start = body.len();
+        body.resize(start + size, 0);
+        read_full(r, &mut body[start..], "body shorter than declared")?;
         let mut crlf = [0u8; 2];
-        let mut got = 0;
-        while got < 2 {
-            match r.read(&mut crlf[got..]) {
-                Ok(0) => return Err(HttpError::BadRequest("truncated chunk".into())),
-                Ok(k) => got += k,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(_) => return Err(HttpError::Timeout),
-            }
-        }
+        read_full(r, &mut crlf, "truncated chunk")?;
         if &crlf != b"\r\n" {
             return Err(HttpError::BadRequest(
                 "malformed chunked framing (chunk data not CRLF-terminated)".into(),
@@ -337,8 +322,8 @@ pub fn parse_request(r: &mut impl BufRead) -> Result<Request, HttpError> {
             if n > MAX_BODY {
                 return Err(HttpError::PayloadTooLarge);
             }
-            let mut body = Vec::new();
-            read_exact_body(r, &mut body, n)?;
+            let mut body = vec![0; n];
+            read_full(r, &mut body, "body shorter than declared")?;
             body
         }
         (None, None) => Vec::new(),
@@ -379,21 +364,33 @@ pub fn chunked_head(status: u16, reason: &str, content_type: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-/// Write one chunk (empty payloads are skipped — an empty chunk would
-/// terminate the stream).
+fn push_chunk(out: &mut Vec<u8>, payload: &[u8]) {
+    out.extend_from_slice(format!("{:x}\r\n", payload.len()).as_bytes());
+    out.extend_from_slice(payload);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// Write one chunk in one `write` (empty payloads are skipped — an empty
+/// chunk would terminate the stream).
 pub fn write_chunk(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     if payload.is_empty() {
         return Ok(());
     }
-    write!(w, "{:x}\r\n", payload.len())?;
-    w.write_all(payload)?;
-    w.write_all(b"\r\n")?;
+    let mut out = Vec::with_capacity(payload.len() + 20);
+    push_chunk(&mut out, payload);
+    w.write_all(&out)?;
     w.flush()
 }
 
-/// Terminate a chunked response.
-pub fn finish_chunked(w: &mut impl Write) -> std::io::Result<()> {
-    w.write_all(b"0\r\n\r\n")?;
+/// Write the stream's last chunk and terminate the chunked response, in
+/// one `write`.
+pub fn finish_chunked(w: &mut impl Write, last: &[u8]) -> std::io::Result<()> {
+    let mut out = Vec::with_capacity(last.len() + 25);
+    if !last.is_empty() {
+        push_chunk(&mut out, last);
+    }
+    out.extend_from_slice(b"0\r\n\r\n");
+    w.write_all(&out)?;
     w.flush()
 }
 
@@ -495,6 +492,61 @@ mod tests {
             Err(HttpError::BadRequest(_))
         ));
         assert_eq!(parse(b""), Err(HttpError::Closed));
+    }
+
+    /// Serves `head`, then fails every read with `kind`.
+    struct FailsAfter(Cursor<Vec<u8>>, std::io::ErrorKind);
+
+    impl std::io::Read for FailsAfter {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            match self.0.read(buf)? {
+                0 => Err(self.1.into()),
+                n => Ok(n),
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_error_means_the_same_wherever_it_strikes() {
+        use std::io::ErrorKind::{ConnectionReset, TimedOut, WouldBlock};
+        // In the request line, in a declared body, in a chunk, and on the
+        // CRLF after a chunk's data.
+        for head in [
+            &b"GET /jo"[..],
+            b"POST / HTTP/1.1\r\nContent-Length: 5\r\n\r\nhe",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nh",
+            b"POST / HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n3\r\nhel",
+        ] {
+            for (kind, want) in [
+                (TimedOut, HttpError::Timeout),
+                (WouldBlock, HttpError::Timeout),
+                (ConnectionReset, HttpError::Closed),
+            ] {
+                let source = FailsAfter(Cursor::new(head.to_vec()), kind);
+                let got = parse_request(&mut std::io::BufReader::new(source));
+                assert_eq!(got, Err(want), "{kind:?} after {:?}", String::from_utf8_lossy(head));
+            }
+        }
+    }
+
+    #[test]
+    fn a_chunk_and_the_terminator_are_one_write_each() {
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes::default();
+        write_chunk(&mut w, b"hello\n").unwrap();
+        write_chunk(&mut w, b"").unwrap();
+        finish_chunked(&mut w, b"bye\n").unwrap();
+        assert_eq!(w.0, [&b"6\r\nhello\n\r\n"[..], b"4\r\nbye\n\r\n0\r\n\r\n"]);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! |---------------------------------|-------------------------------------------|
 //! | `POST /jobs`                    | submit a sweep (202, or 503 + Retry-After)|
 //! | `GET /jobs/:id`                 | job state + live progress counters        |
+//! | `DELETE /jobs/:id`              | cancel a queued job (200; else 409)       |
 //! | `GET /jobs/:id/events`          | chunked stream of progress events         |
 //! | `GET /jobs/:id/artifact`        | the canonical `BENCH` JSON (when done)    |
 //! | `GET /jobs/:id/diff?baseline=N` | virtual-time diff of two done jobs        |
@@ -26,10 +27,27 @@
 //! writes to `BENCH_sweep.json` (enforced with `cmp` in
 //! `scripts/verify.sh` and byte-equality in `tests/sweep_service.rs`).
 //!
+//! **Connections.** The listener blocks in `accept` and hands each
+//! connection to a worker thread: an idle one if there is one, a new one
+//! while fewer than 64 are alive, and past that the accept thread itself
+//! answers `503` + `Retry-After: 1`. A worker that is handed nothing for
+//! a second exits, so an idle server keeps no connection thread. One
+//! request per connection; a request has 10 s in all to arrive (408),
+//! and a write that makes no progress for 5 s drops the peer, so a peer
+//! that stops cooperating cannot keep one of the 64 slots. Admission
+//! keeps a timetable of one connection every 0.5 ms (2 000 a second,
+//! turns unused in the last 0.1 s still good): a request that comes
+//! alone is served at once, clients that re-ask without pause are held
+//! to the timetable — they are never refused — and the job worker keeps
+//! its share of the machine.
+//!
 //! Shutdown ([`ServerHandle::shutdown`], or SIGTERM/SIGINT in `sweepd`)
 //! drains: queued jobs are cancelled, the running job finishes, new
 //! submissions get 503, event streams run to their terminal event, and
-//! only then does [`Server::run`] return.
+//! only then does [`Server::run`] return. Nothing polls for it:
+//! `shutdown` wakes the blocked `accept` with a throw-away connection,
+//! and a short-lived thread that waits for the job core wakes it once
+//! more when the drain is complete.
 
 pub mod http;
 
@@ -37,16 +55,29 @@ use driver::job::{GridSource, JobCore, JobId, JobSpec, JobState, JobStatus, Subm
 use driver::json::{self, Json};
 use driver::spec::{ModelSpec, ScenarioSpec, SizeClass, Variant};
 use http::{HttpError, Request};
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::collections::VecDeque;
+use std::io::{BufReader, Read, Write};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Duration;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::time::{Duration, Instant};
 
-/// How long a connection may take to deliver its request.
+/// How long a connection may take to deliver its whole request.
 const READ_TIMEOUT: Duration = Duration::from_secs(10);
-/// Poll interval of the accept loop (and of event streaming).
-const POLL: Duration = Duration::from_millis(5);
+/// How long one write may wait on a peer that is not reading.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(5);
+/// Most connections served at once; the next one is answered 503.
+const MAX_CONNECTIONS: usize = 64;
+/// How long a connection worker waits for its next connection before
+/// it exits.
+const IDLE_LINGER: Duration = Duration::from_secs(1);
+/// Pause after a failed `accept` (EMFILE, ECONNABORTED).
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+/// Spacing of admitted connections under sustained load: 2 000 a second.
+const ADMIT_INTERVAL: Duration = Duration::from_micros(500);
+/// How far back unused turns stay good: what a stalled stretch may make up
+/// afterwards, and what an idle server admits back to back (200 turns).
+const ADMIT_BANK: Duration = Duration::from_millis(100);
 
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -73,12 +104,21 @@ impl Default for ServerConfig {
 #[derive(Clone)]
 pub struct ServerHandle {
     shutdown: Arc<AtomicBool>,
+    wake_addr: SocketAddr,
 }
 
 impl ServerHandle {
     pub fn shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
+        wake(self.wake_addr);
     }
+}
+
+/// Make the listener's blocked `accept` return: one connection that is
+/// closed at once, which the server reads as [`HttpError::Closed`].
+/// Failing is harmless — the listener is gone or has a backlog to wake it.
+fn wake(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
 /// The bound-but-not-yet-serving server. [`Server::run`] consumes it
@@ -86,24 +126,146 @@ impl ServerHandle {
 pub struct Server {
     listener: TcpListener,
     service: Arc<Service>,
-    shutdown: Arc<AtomicBool>,
+    handle: ServerHandle,
 }
 
 struct Service {
     core: JobCore,
     default_threads: usize,
+    pool: Mutex<Pool>,
+    /// Signalled on a hand-off, on `closed`, and when a worker exits.
+    pool_changed: Condvar,
+}
+
+/// The connection workers: threads spawned on demand up to
+/// [`MAX_CONNECTIONS`], each serving one connection after the other
+/// until none is handed to it for [`IDLE_LINGER`]. `idle` counts waiting
+/// workers that no stream in `handoff` is meant for.
+#[derive(Default)]
+struct Pool {
+    live: usize,
+    idle: usize,
+    handoff: VecDeque<TcpStream>,
+    closed: bool,
+}
+
+impl Service {
+    fn pool(&self) -> MutexGuard<'_, Pool> {
+        // Every update is a counter step or a queue push/pop, so the
+        // pool is valid whatever a panicking holder was doing.
+        self.pool.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    /// Give the connection to an idle worker, or to a new one below the
+    /// cap; at the cap the calling (accept) thread refuses it.
+    fn dispatch(self: &Arc<Self>, mut stream: TcpStream) {
+        let mut pool = self.pool();
+        if pool.idle > 0 {
+            pool.idle -= 1;
+            pool.handoff.push_back(stream);
+            self.pool_changed.notify_one();
+        } else if pool.live < MAX_CONNECTIONS {
+            pool.live += 1;
+            drop(pool);
+            let service = Arc::clone(self);
+            let spawned = std::thread::Builder::new()
+                .name("sweepd-conn".into())
+                .spawn(move || service.worker(stream));
+            if spawned.is_err() {
+                // Out of threads: the connection went down with the
+                // closure; give the slot back.
+                self.pool().live -= 1;
+            }
+        } else {
+            drop(pool);
+            // A few hundred bytes into an empty send buffer: this
+            // cannot block the accept thread.
+            send(
+                &mut stream,
+                503,
+                "Service Unavailable",
+                &[("Retry-After".to_string(), "1".to_string())],
+                &error_body(&format!("all {MAX_CONNECTIONS} connection slots are busy")),
+            );
+        }
+    }
+
+    fn worker(&self, first: TcpStream) {
+        // Gives the slot back on every way out, a panicking handler
+        // included, so `run` cannot wait for a worker that is gone.
+        struct Slot<'a>(&'a Service);
+        impl Drop for Slot<'_> {
+            fn drop(&mut self) {
+                self.0.pool().live -= 1;
+                self.0.pool_changed.notify_all();
+            }
+        }
+        let _slot = Slot(self);
+        let mut stream = first;
+        loop {
+            handle_connection(stream, self);
+            let mut pool = self.pool();
+            pool.idle += 1;
+            let give_up = Instant::now() + IDLE_LINGER;
+            stream = loop {
+                if let Some(next) = pool.handoff.pop_front() {
+                    break next;
+                }
+                let left = give_up.saturating_duration_since(Instant::now());
+                if pool.closed || left.is_zero() {
+                    pool.idle -= 1;
+                    return;
+                }
+                pool = self
+                    .pool_changed
+                    .wait_timeout(pool, left)
+                    .unwrap_or_else(|e| e.into_inner())
+                    .0;
+            };
+        }
+    }
+}
+
+/// Wait for `turn` on the admission timetable and answer the turn after
+/// it. A connection ahead of its turn waits here, in the accept thread
+/// (later ones in the listen backlog); one behind it goes straight
+/// through, and turns unused for [`ADMIT_BANK`] lapse. The timetable is
+/// absolute, so a late wake-up is made up on the next turn: clients that
+/// ask as fast as they are answered get its rate whatever the host is
+/// doing, and leave the job worker the rest of the machine.
+fn wait_turn(turn: Instant) -> Instant {
+    let now = Instant::now();
+    let turn = turn.max(now.checked_sub(ADMIT_BANK).unwrap_or(now));
+    if turn > now {
+        std::thread::sleep(turn - now);
+    }
+    turn + ADMIT_INTERVAL
 }
 
 impl Server {
     pub fn bind(config: &ServerConfig) -> std::io::Result<Server> {
         let listener = TcpListener::bind(&config.addr)?;
+        // Where `shutdown` reaches the listener: its own address, with
+        // "any interface" narrowed to loopback.
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(match wake_addr {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
+        }
         Ok(Server {
             listener,
             service: Arc::new(Service {
                 core: JobCore::new(config.queue_capacity),
                 default_threads: config.default_threads,
+                pool: Mutex::default(),
+                pool_changed: Condvar::new(),
             }),
-            shutdown: Arc::new(AtomicBool::new(false)),
+            handle: ServerHandle {
+                shutdown: Arc::new(AtomicBool::new(false)),
+                wake_addr,
+            },
         })
     }
 
@@ -112,45 +274,52 @@ impl Server {
     }
 
     pub fn handle(&self) -> ServerHandle {
-        ServerHandle {
-            shutdown: Arc::clone(&self.shutdown),
-        }
+        self.handle.clone()
     }
 
-    /// Accept loop. Runs until [`ServerHandle::shutdown`] is called and
-    /// the job core has drained; keeps accepting *during* the drain so
-    /// late submitters get an orderly 503 instead of a refused socket.
+    /// Accept loop. Blocks in `accept`; [`ServerHandle::shutdown`] wakes
+    /// it with a connection. Runs until the job core has drained and
+    /// every connection is answered, and keeps accepting *during* the
+    /// drain so late submitters get an orderly 503 instead of a refused
+    /// socket.
     pub fn run(self) -> std::io::Result<()> {
-        self.listener.set_nonblocking(true)?;
-        let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
-        let mut draining = false;
-        loop {
-            if !draining && self.shutdown.load(Ordering::SeqCst) {
-                draining = true;
+        let mut drain_watcher = None;
+        let mut turn = Instant::now();
+        // The core is finished only once a shutdown has drained it.
+        while !self.service.core.is_finished() {
+            let accepted = self.listener.accept();
+            if drain_watcher.is_none() && self.handle.shutdown.load(Ordering::SeqCst) {
                 self.service.core.shutdown();
+                // Waits for the running job off this thread, then wakes
+                // the listener a second time to end the loop.
+                let service = Arc::clone(&self.service);
+                let wake_addr = self.handle.wake_addr;
+                drain_watcher = Some(std::thread::spawn(move || {
+                    service.core.join();
+                    wake(wake_addr);
+                }));
             }
-            if draining && self.service.core.is_finished() {
-                break;
-            }
-            match self.listener.accept() {
+            match accepted {
                 Ok((stream, _peer)) => {
-                    let service = Arc::clone(&self.service);
-                    handlers.push(std::thread::spawn(move || {
-                        handle_connection(stream, &service);
-                    }));
+                    turn = wait_turn(turn);
+                    self.service.dispatch(stream);
                 }
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(POLL);
-                }
-                Err(_) => std::thread::sleep(POLL),
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
-            // Dropping a finished handle just detaches an already-dead
-            // thread; unfinished ones are joined after the loop.
-            handlers.retain(|h| !h.is_finished());
         }
-        self.service.core.join();
-        for h in handlers {
-            let _ = h.join();
+        let mut pool = self.service.pool();
+        pool.closed = true;
+        self.service.pool_changed.notify_all();
+        while pool.live > 0 {
+            pool = self
+                .service
+                .pool_changed
+                .wait(pool)
+                .unwrap_or_else(|e| e.into_inner());
+        }
+        drop(pool);
+        if let Some(watcher) = drain_watcher {
+            watcher.join().expect("the drain watcher does not panic");
         }
         Ok(())
     }
@@ -164,34 +333,70 @@ fn error_body(message: &str) -> Vec<u8> {
     .into_bytes()
 }
 
-fn respond(stream: &mut TcpStream, status: u16, reason: &'static str, body: &Json) {
-    let bytes = json::write_json(body).into_bytes();
-    let _ = stream.write_all(&http::response(status, reason, "application/json", &[], &bytes));
+/// Write one complete JSON response; a peer that has gone away is not
+/// an error anyone can be told about.
+fn send(
+    stream: &mut TcpStream,
+    status: u16,
+    reason: &'static str,
+    extra_headers: &[(String, String)],
+    body: &[u8],
+) {
+    let _ = stream.write_all(&http::response(
+        status,
+        reason,
+        "application/json",
+        extra_headers,
+        body,
+    ));
 }
 
-fn handle_connection(stream: TcpStream, service: &Service) {
-    let _ = stream.set_read_timeout(Some(READ_TIMEOUT));
+fn respond(stream: &mut TcpStream, status: u16, reason: &'static str, body: &Json) {
+    send(stream, status, reason, &[], json::write_json(body).as_bytes());
+}
+
+fn respond_error(stream: &mut TcpStream, status: u16, reason: &'static str, message: &str) {
+    send(stream, status, reason, &[], &error_body(message));
+}
+
+fn no_such_job(stream: &mut TcpStream, id: JobId) {
+    respond_error(stream, 404, "Not Found", &format!("no such job {id}"));
+}
+
+/// Reads the socket under one deadline for the whole request: before
+/// each read the socket's timeout shrinks to what is left, so a peer
+/// cannot stretch its time by sending a byte now and then.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
+}
+
+fn handle_connection(mut stream: TcpStream, service: &Service) {
     let _ = stream.set_nodelay(true);
-    let mut stream = stream;
-    let Ok(reader_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(reader_half);
-    match http::parse_request(&mut reader) {
+    let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
+    let request = http::parse_request(&mut BufReader::new(DeadlineReader {
+        stream: &stream,
+        deadline: Instant::now() + READ_TIMEOUT,
+    }));
+    match request {
         Ok(req) => route(service, &req, &mut stream),
         Err(HttpError::Closed) => {}
         Err(e) => {
             let (status, reason) = e.status();
-            let _ = stream.write_all(&http::response(
-                status,
-                reason,
-                "application/json",
-                &[],
-                &error_body(&e.message()),
-            ));
+            respond_error(&mut stream, status, reason, &e.message());
         }
     }
-    let _ = stream.flush();
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
@@ -209,26 +414,25 @@ fn job_route(path: &str) -> Option<(JobId, Option<&str>)> {
 fn route(service: &Service, req: &Request, stream: &mut TcpStream) {
     match (req.method.as_str(), req.path.as_str()) {
         ("POST", "/jobs") => post_job(service, req, stream),
-        (_, "/jobs") => {
-            respond(stream, 405, "Method Not Allowed", &Json::Obj(vec![(
-                "error".into(),
-                Json::Str("use POST /jobs or GET /jobs/:id".into()),
-            )]));
-        }
-        ("GET", _) => match job_route(&req.path) {
-            Some((id, None)) => get_job(service, id, stream),
-            Some((id, Some("events"))) => get_events(service, id, stream),
-            Some((id, Some("artifact"))) => get_artifact(service, id, stream),
-            Some((id, Some("diff"))) => get_diff(service, id, req, stream),
-            _ => respond(stream, 404, "Not Found", &Json::Obj(vec![(
-                "error".into(),
-                Json::Str(format!("no route for GET {}", req.path)),
-            )])),
+        (_, "/jobs") => respond_error(
+            stream,
+            405,
+            "Method Not Allowed",
+            "use POST /jobs or GET /jobs/:id",
+        ),
+        (method, path) => match (method, job_route(path)) {
+            ("GET", Some((id, None))) => get_job(service, id, stream),
+            ("GET", Some((id, Some("events")))) => get_events(service, id, stream),
+            ("GET", Some((id, Some("artifact")))) => get_artifact(service, id, stream),
+            ("GET", Some((id, Some("diff")))) => get_diff(service, id, req, stream),
+            ("DELETE", Some((id, None))) => delete_job(service, id, stream),
+            _ => respond_error(
+                stream,
+                404,
+                "Not Found",
+                &format!("no route for {method} {path}"),
+            ),
         },
-        (method, path) => respond(stream, 404, "Not Found", &Json::Obj(vec![(
-            "error".into(),
-            Json::Str(format!("no route for {method} {path}")),
-        )])),
     }
 }
 
@@ -289,18 +493,10 @@ fn scenario_from_json(v: &Json) -> Result<ScenarioSpec, String> {
 }
 
 fn post_job(service: &Service, req: &Request, stream: &mut TcpStream) {
+    let bad = |stream: &mut TcpStream, msg: &str| respond_error(stream, 400, "Bad Request", msg);
     let doc = match json::parse_json_bytes(&req.body) {
         Ok(doc) => doc,
-        Err(e) => {
-            let _ = stream.write_all(&http::response(
-                400,
-                "Bad Request",
-                "application/json",
-                &[],
-                &error_body(&format!("request body is not valid JSON: {e}")),
-            ));
-            return;
-        }
+        Err(e) => return bad(stream, &format!("request body is not valid JSON: {e}")),
     };
     let mut sources: Vec<GridSource> = Vec::new();
     if let Some(p) = doc.get("grid_file").and_then(Json::as_str) {
@@ -312,71 +508,29 @@ fn post_job(service: &Service, req: &Request, stream: &mut TcpStream) {
     if let Some(s) = doc.get("scenario") {
         match scenario_from_json(s) {
             Ok(spec) => sources.push(GridSource::Scenario(Box::new(spec))),
-            Err(e) => {
-                let _ = stream.write_all(&http::response(
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &[],
-                    &error_body(&e),
-                ));
-                return;
-            }
+            Err(e) => return bad(stream, &e),
         }
     }
     if sources.len() != 1 {
-        let _ = stream.write_all(&http::response(
-            400,
-            "Bad Request",
-            "application/json",
-            &[],
-            &error_body(
-                "give exactly one of `grid_file`, `grid_toml`, or `scenario`",
-            ),
-        ));
-        return;
+        return bad(stream, "give exactly one of `grid_file`, `grid_toml`, or `scenario`");
     }
     let threads = match doc.get("threads") {
         None => service.default_threads,
         Some(j) => match j.as_u64() {
             Some(t) => t as usize,
-            None => {
-                let _ = stream.write_all(&http::response(
-                    400,
-                    "Bad Request",
-                    "application/json",
-                    &[],
-                    &error_body("`threads` must be a non-negative integer"),
-                ));
-                return;
-            }
+            None => return bad(stream, "`threads` must be a non-negative integer"),
         },
     };
     let mut spec = JobSpec::new(sources.into_iter().next().expect("checked len")).threads(threads);
     if let Some(j) = doc.get("baseline_job") {
         let Some(bid) = j.as_u64() else {
-            let _ = stream.write_all(&http::response(
-                400,
-                "Bad Request",
-                "application/json",
-                &[],
-                &error_body("`baseline_job` must be a job id"),
-            ));
-            return;
+            return bad(stream, "`baseline_job` must be a job id");
         };
         match service.core.result(bid) {
             Some(result) => spec = spec.baseline(result),
             None => {
-                let _ = stream.write_all(&http::response(
-                    409,
-                    "Conflict",
-                    "application/json",
-                    &[],
-                    &error_body(&format!(
-                        "`baseline_job` {bid} has no completed result"
-                    )),
-                ));
-                return;
+                let msg = format!("`baseline_job` {bid} has no completed result");
+                return respond_error(stream, 409, "Conflict", &msg);
             }
         }
     }
@@ -399,33 +553,21 @@ fn post_job(service: &Service, req: &Request, stream: &mut TcpStream) {
                 ),
                 ("retry_after_s".into(), Json::Int(retry_after_s as i64)),
             ]);
-            let bytes = json::write_json(&body).into_bytes();
-            let _ = stream.write_all(&http::response(
+            send(
+                stream,
                 503,
                 "Service Unavailable",
-                "application/json",
                 &[("Retry-After".to_string(), retry_after_s.to_string())],
-                &bytes,
-            ));
+                json::write_json(&body).as_bytes(),
+            );
         }
-        Err(SubmitError::ShuttingDown) => {
-            let _ = stream.write_all(&http::response(
-                503,
-                "Service Unavailable",
-                "application/json",
-                &[],
-                &error_body("shutting down; not accepting jobs"),
-            ));
-        }
-        Err(SubmitError::Invalid(msg)) => {
-            let _ = stream.write_all(&http::response(
-                400,
-                "Bad Request",
-                "application/json",
-                &[],
-                &error_body(&msg),
-            ));
-        }
+        Err(SubmitError::ShuttingDown) => respond_error(
+            stream,
+            503,
+            "Service Unavailable",
+            "shutting down; not accepting jobs",
+        ),
+        Err(SubmitError::Invalid(msg)) => bad(stream, &msg),
     }
 }
 
@@ -451,13 +593,36 @@ fn status_json(s: &JobStatus) -> Json {
     Json::Obj(fields)
 }
 
+/// The 409 of a job that is in the wrong state for what was asked.
+fn wrong_state(stream: &mut TcpStream, status: &JobStatus, message: String) {
+    let body = Json::Obj(vec![
+        ("error".into(), Json::Str(message)),
+        ("state".into(), Json::Str(status.state.id().into())),
+    ]);
+    respond(stream, 409, "Conflict", &body);
+}
+
 fn get_job(service: &Service, id: JobId, stream: &mut TcpStream) {
     match service.core.status(id) {
         Some(status) => respond(stream, 200, "OK", &status_json(&status)),
-        None => respond(stream, 404, "Not Found", &Json::Obj(vec![(
-            "error".into(),
-            Json::Str(format!("no such job {id}")),
-        )])),
+        None => no_such_job(stream, id),
+    }
+}
+
+/// Cancel a job that is still queued; a running or finished one stays
+/// as it is and says so.
+fn delete_job(service: &Service, id: JobId, stream: &mut TcpStream) {
+    let cancelled = service.core.cancel(id);
+    match service.core.status(id) {
+        None => no_such_job(stream, id),
+        Some(status) if cancelled => respond(stream, 200, "OK", &status_json(&status)),
+        Some(status) => {
+            let message = format!(
+                "job {id} is {}; only a queued job can be cancelled",
+                status.state.id()
+            );
+            wrong_state(stream, &status, message);
+        }
     }
 }
 
@@ -465,11 +630,7 @@ fn get_job(service: &Service, id: JobId, stream: &mut TcpStream) {
 /// chunked response, following the live log until the job is terminal.
 fn get_events(service: &Service, id: JobId, stream: &mut TcpStream) {
     if service.core.status(id).is_none() {
-        respond(stream, 404, "Not Found", &Json::Obj(vec![(
-            "error".into(),
-            Json::Str(format!("no such job {id}")),
-        )]));
-        return;
+        return no_such_job(stream, id);
     }
     if stream.write_all(&http::chunked_head(200, "OK", "application/x-ndjson")).is_err() {
         return;
@@ -478,15 +639,6 @@ fn get_events(service: &Service, id: JobId, stream: &mut TcpStream) {
     while let Some((events, terminal)) =
         service.core.events_since(id, from, Duration::from_millis(250))
     {
-        let mut payload = String::new();
-        for ev in &events {
-            payload.push_str(&json::write_json_compact(&ev.to_json()));
-            payload.push('\n');
-        }
-        from += events.len();
-        if http::write_chunk(stream, payload.as_bytes()).is_err() {
-            return; // client went away; nothing to clean up
-        }
         if terminal && events.is_empty() {
             let state = service
                 .core
@@ -497,44 +649,32 @@ fn get_events(service: &Service, id: JobId, stream: &mut TcpStream) {
                 ("event".into(), Json::Str("end".into())),
                 ("state".into(), Json::Str(state)),
             ])) + "\n";
-            if http::write_chunk(stream, end.as_bytes()).is_err() {
-                return;
-            }
-            let _ = http::finish_chunked(stream);
+            let _ = http::finish_chunked(stream, end.as_bytes());
             return;
+        }
+        let mut payload = String::new();
+        for ev in &events {
+            payload.push_str(&json::write_json_compact(&ev.to_json()));
+            payload.push('\n');
+        }
+        from += events.len();
+        if http::write_chunk(stream, payload.as_bytes()).is_err() {
+            return; // client went away; nothing to clean up
         }
     }
 }
 
 fn get_artifact(service: &Service, id: JobId, stream: &mut TcpStream) {
     let Some(status) = service.core.status(id) else {
-        respond(stream, 404, "Not Found", &Json::Obj(vec![(
-            "error".into(),
-            Json::Str(format!("no such job {id}")),
-        )]));
-        return;
+        return no_such_job(stream, id);
     };
     match service.core.artifact(id) {
-        Some(artifact) => {
-            // The exact bytes the job core computed — byte-identical to
-            // the file `harness` would have written for the same grid.
-            let _ = stream.write_all(&http::response(
-                200,
-                "OK",
-                "application/json",
-                &[],
-                artifact.as_bytes(),
-            ));
-        }
+        // The exact bytes the job core computed — byte-identical to the
+        // file `harness` would have written for the same grid.
+        Some(artifact) => send(stream, 200, "OK", &[], artifact.as_bytes()),
         None => {
-            let body = Json::Obj(vec![
-                (
-                    "error".into(),
-                    Json::Str(format!("job {id} has no artifact (state: {})", status.state.id())),
-                ),
-                ("state".into(), Json::Str(status.state.id().into())),
-            ]);
-            respond(stream, 409, "Conflict", &body);
+            let message = format!("job {id} has no artifact (state: {})", status.state.id());
+            wrong_state(stream, &status, message);
         }
     }
 }
@@ -542,23 +682,13 @@ fn get_artifact(service: &Service, id: JobId, stream: &mut TcpStream) {
 fn get_diff(service: &Service, id: JobId, req: &Request, stream: &mut TcpStream) {
     let Some(baseline_id) = req.query_param("baseline").and_then(|v| v.parse::<JobId>().ok())
     else {
-        respond(stream, 400, "Bad Request", &Json::Obj(vec![(
-            "error".into(),
-            Json::Str("diff needs `?baseline=<job id>`".into()),
-        )]));
-        return;
+        return respond_error(stream, 400, "Bad Request", "diff needs `?baseline=<job id>`");
     };
     let tolerance = match req.query_param("tol") {
         None => 0.0,
         Some(v) => match v.parse::<f64>() {
             Ok(t) if t.is_finite() && t >= 0.0 => t,
-            _ => {
-                respond(stream, 400, "Bad Request", &Json::Obj(vec![(
-                    "error".into(),
-                    Json::Str(format!("bad `tol` `{v}`")),
-                )]));
-                return;
-            }
+            _ => return respond_error(stream, 400, "Bad Request", &format!("bad `tol` `{v}`")),
         },
     };
     let fetch = |jid: JobId| -> Result<Arc<driver::SweepResult>, (u16, &'static str, String)> {
@@ -574,14 +704,7 @@ fn get_diff(service: &Service, id: JobId, req: &Request, stream: &mut TcpStream)
     let (baseline, candidate) = match (fetch(baseline_id), fetch(id)) {
         (Ok(b), Ok(c)) => (b, c),
         (Err((status, reason, msg)), _) | (_, Err((status, reason, msg))) => {
-            let _ = stream.write_all(&http::response(
-                status,
-                reason,
-                "application/json",
-                &[],
-                &error_body(&msg),
-            ));
-            return;
+            return respond_error(stream, status, reason, &msg);
         }
     };
     let report = driver::diff(&baseline, &candidate, tolerance);

@@ -197,20 +197,50 @@ echo "==> sweep-service smoke: sweepd end-to-end + SIGTERM drain"
 # change wall-clock, never a simulated byte. Then pin the worker with a
 # multi-second job, SIGTERM mid-queue, and assert the drain: new
 # submissions get 503 while the running job finishes, and the process
-# exits 0.
-./target/release/sweepd --addr 127.0.0.1:0 --queue 4 > target/sweepd.log 2>&1 &
-sweepd_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-  addr=$(sed -n 's|^listening on http://||p' target/sweepd.log)
-  [ -n "$addr" ] && break
-  sleep 0.1
-done
-if [ -z "$addr" ]; then
+# exits 0. Before all that, an idle daemon is SIGTERMed on its own.
+
+# Start sweepd in the background with its output in $1 (further arguments
+# are passed on); sets sweepd_pid and addr, the address scraped from its
+# `listening on` line.
+start_sweepd() {
+  local log=$1
+  shift
+  ./target/release/sweepd --addr 127.0.0.1:0 "$@" > "$log" 2>&1 &
+  sweepd_pid=$!
+  addr=""
+  for _ in $(seq 1 100); do
+    addr=$(sed -n 's|^listening on http://||p' "$log")
+    [ -n "$addr" ] && return 0
+    sleep 0.1
+  done
   echo "sweep-service smoke FAILED: sweepd never reported its address"
   kill "$sweepd_pid" 2>/dev/null || true
   exit 1
+}
+
+# An idle daemon — no job, no connection, its listener blocked in accept —
+# must notice SIGTERM and be gone within 2 s.
+start_sweepd target/sweepd_idle.log
+kill -TERM "$sweepd_pid"
+for _ in $(seq 1 20); do
+  kill -0 "$sweepd_pid" 2>/dev/null || break
+  sleep 0.1
+done
+if kill -0 "$sweepd_pid" 2>/dev/null; then
+  echo "sweep-service smoke FAILED: idle sweepd still running 2 s after SIGTERM"
+  kill -KILL "$sweepd_pid" 2>/dev/null || true
+  exit 1
 fi
+wait "$sweepd_pid" || {
+  echo "sweep-service smoke FAILED: idle sweepd exited nonzero after SIGTERM"
+  exit 1
+}
+grep -q "drained; exiting" target/sweepd_idle.log || {
+  echo "sweep-service smoke FAILED: idle sweepd never printed the drain epitaph"
+  exit 1
+}
+
+start_sweepd target/sweepd.log --queue 4
 curl -sf -X POST "http://$addr/jobs" \
   -d '{"grid_file": "scenarios/quick.toml"}' > /dev/null
 state=""

@@ -12,7 +12,8 @@
 //!    accepting unbounded work;
 //! 4. the event stream is chunked NDJSON that terminates with an `end`
 //!    record;
-//! 5. `/diff` between two identical done jobs reports no regressions.
+//! 5. `/diff` between two identical done jobs reports no regressions;
+//! 6. `DELETE /jobs/:id` cancels a queued job and refuses (409) any other.
 
 use overlap_suite::service::{Server, ServerConfig};
 use std::io::{Read, Write};
@@ -212,6 +213,53 @@ fn full_queue_gets_backpressure_not_acceptance() {
     );
     assert!(saw_retry_after, "503 responses carry a Retry-After header");
 
+    handle.shutdown();
+    server_thread.join().expect("server exits");
+}
+
+#[test]
+fn delete_cancels_a_queued_job_and_only_that() {
+    let server = Server::bind(&ServerConfig {
+        addr: "127.0.0.1:0".into(),
+        queue_capacity: 8,
+        default_threads: 1,
+    })
+    .expect("bind");
+    let addr = server.local_addr().unwrap();
+    let handle = server.handle();
+    let server_thread = std::thread::spawn(move || server.run().expect("run"));
+    let delete = |path: &str| talk(addr, &format!("DELETE {path} HTTP/1.1\r\nHost: t\r\n\r\n"));
+
+    // A 256-rank job keeps the worker busy while the quick one waits.
+    let (head, body) = post_json(addr, "/jobs", r#"{"grid_file": "scenarios/smoke256.toml"}"#);
+    assert_eq!(status_of(&head), 202, "{body}");
+    let running = int_field(&body, "id");
+    let (head, body) = post_json(addr, "/jobs", r#"{"grid_file": "scenarios/quick.toml"}"#);
+    assert_eq!(status_of(&head), 202, "{body}");
+    let queued = int_field(&body, "id");
+    while get(addr, &format!("/jobs/{running}")).1.contains("\"state\": \"queued\"") {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Queued: cancelled, and the answer is the job's status.
+    let (head, body) = delete(&format!("/jobs/{queued}"));
+    assert_eq!(status_of(&head), 200, "{body}");
+    assert!(body.contains("\"state\": \"cancelled\""), "{body}");
+    assert_eq!(int_field(&body, "id"), queued);
+    // Terminal, running, unknown: each says which.
+    let (head, body) = delete(&format!("/jobs/{queued}"));
+    assert_eq!(status_of(&head), 409, "{body}");
+    assert!(body.contains("\"state\": \"cancelled\""), "{body}");
+    let (head, body) = delete(&format!("/jobs/{running}"));
+    assert_eq!(status_of(&head), 409, "{body}");
+    assert!(body.contains("\"state\": \"running\"") || body.contains("\"state\": \"done\""), "{body}");
+    let (head, body) = delete("/jobs/99");
+    assert_eq!(status_of(&head), 404, "{body}");
+    // The collection itself has no DELETE.
+    assert_eq!(status_of(&delete("/jobs").0), 405);
+
+    // The job that was running is untouched by all of it.
+    wait_done(addr, running);
     handle.shutdown();
     server_thread.join().expect("server exits");
 }
